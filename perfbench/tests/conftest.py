@@ -1,0 +1,14 @@
+"""Make the benchmark's modules and the program under test importable.
+
+Run from the repository root with ``python3 -m pytest perfbench/tests``.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+for path in (BENCH, BENCH.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
