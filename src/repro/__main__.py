@@ -970,8 +970,8 @@ def _run_stats(args: argparse.Namespace) -> int:
         )
     metrics = payload.get("metrics", {})
     if isinstance(metrics, dict):
-        # Fused kernels silently bail to the scalar loop under full
-        # tracing/timelines or multi-stream cursors; surface the why.
+        # Fused controllers take the scalar reference under full tracing,
+        # timelines or overridden write/read; surface the why.
         fallbacks = {
             name: entry.get("value", 0)
             for name, entry in sorted(metrics.items())

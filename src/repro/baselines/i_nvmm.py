@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from repro.baselines.secure_nvm import SecureNvmConfig, TraditionalSecureNvmController
-from repro.core.batching import BatchOutcome
+from repro.core.batching import BatchColumns, ReadStep, WriteStep
 from repro.core.interface import ReadOutcome, WriteOutcome
 from repro.crypto.counter_mode import CounterModeEngine
 from repro.nvm.memory import NvmMainMemory
@@ -128,226 +128,64 @@ class INvmmController(TraditionalSecureNvmController):
             stages.record("read", read.complete_ns - arrival_ns)
         return ReadOutcome(latency_ns=latency, data=read.data, complete_ns=read.complete_ns)
 
-    def service_batch(self, batch, cursor, max_requests=None):
-        """Fused single-stream kernel with the hot-set plumbing inlined.
-
-        Hot writes/reads skip AES exactly as the scalar methods do; cold
-        reads replay the parent's inlined CME read pipeline.  Hot-set
-        evictions (rare) fall back to :meth:`_encrypt_cold_line`.  Scalar
-        float order is preserved so reports stay byte-identical; the
-        generic driver handles subclasses, split-counter mode, an attached
-        tracer/timeline, and multi-stream cursors.  A stage accumulator
-        (summary mode) keeps the kernel fused via columnar batch flushes.
-        """
-        cls = type(self)
-        if (
-            cls.write is not INvmmController.write
-            or cls.read is not INvmmController.read
-            or cls._touch_hot is not INvmmController._touch_hot
-            or self._split is not None
-            or self.tracer.enabled
-            or self.timeline.enabled
-            or len(cursor.active) != 1
-        ):
-            return super().service_batch(batch, cursor, max_requests)
-
-        ops = batch.ops
-        addresses = batch.addresses
-        gaps = batch.gaps
-        persistent = batch.persistent
-        slots = batch.slots
-        payload = batch.payload
-        line_size = batch.line_size
-        npi = cursor.ns_per_instruction
-        exposure = cursor.read_stall_exposure
-        clock = cursor.clock_ghz
-        base_cpi = cursor.base_cpi
-
-        instructions = cursor.instructions
-        stall_cycles = cursor.stall_cycles
-        compute_cycles = cursor.compute_cycles
-        issued = reads = writes = 0
-
+    def _batch_steps(self, columns: BatchColumns) -> tuple[WriteStep, ReadStep]:
+        """Plaintext hot-set steps; cold reads take the parent's CME read step."""
+        _, cold_read = super()._batch_steps(columns)
         stats = self.stats
         counters = self._counters
-        written_set = self._written
+        written = self._written
         hot = self._hot
-        hot_cap = self.hot_set_lines
-        add_aes_line = self.nvm.energy.add_aes_line
+        touch_hot = self._touch_hot
+        is_hot = self._is_hot
         nvm_write_done = self.nvm.write_complete_ns
         nvm_read_done = self.nvm.read_complete_ns
-        cache = self.counter_cache
-        cache_blocks = cache._blocks
-        per_block = cache.entries_per_block
-        access_counter = self._access_counter
-        xor_ns = self.config.xor_latency_ns
+        touch = self._counter_touch()
+        line_size = self.line_size
         data_lines = self.data_lines
+        write_latency = columns.write_latency.append
+        read_latency = columns.read_latency.append
+        stage_on = columns.stages_on
+        st_wnvm = columns.stage("write.nvm")
+        st_rmeta = columns.stage("read.metadata")
+        st_rnvm = columns.stage("read.nvm")
 
-        # Summary-mode stage accounting (columnar, flushed per batch).
-        stages = self.stages
-        stage_on = stages.enabled
-        st_wnvm: list[float] = []
-        st_write: list[float] = []
-        st_rmeta: list[float] = []
-        st_rnvm: list[float] = []
-        st_rcrypto: list[float] = []
-        st_read: list[float] = []
+        def write(address: int, line: bytes, arrival: float) -> tuple[float, bool, float]:
+            if len(line) != line_size:
+                self._check_line(line)
+            if not 0 <= address < data_lines:
+                self._check_data_address(address)
+            touch_hot(address, arrival)
+            stats.writes_requested += 1
+            stats.writes_stored += 1
+            self.plaintext_bus_transfers += 1
+            now = arrival + touch(address, True, arrival)
+            complete = nvm_write_done(address, line, now)  # plaintext, no AES
+            written.add(address)
+            counters.pop(address, None)
+            if stage_on:
+                st_wnvm.append(complete - now)
+            latency = complete - arrival
+            write_latency(latency)
+            return latency, False, complete
 
-        plaintext_bus = self.plaintext_bus_transfers
-        writes_requested = stats.writes_requested
-        writes_stored = stats.writes_stored
-        reads_requested = stats.reads_requested
-        wl = stats.write_latency
-        wl_total = wl.total_ns
-        wl_count = wl.count
-        wl_max = wl.max_ns
-        wl_min = wl.min_ns
-        rl = stats.read_latency
-        rl_total = rl.total_ns
-        rl_count = rl.count
-        rl_max = rl.max_ns
-        rl_min = rl.min_ns
+        def read(address: int, arrival: float) -> float:
+            if not is_hot(address):
+                return cold_read(address, arrival)
+            if not 0 <= address < data_lines:
+                self._check_data_address(address)
+            stats.reads_requested += 1
+            self.plaintext_bus_transfers += 1
+            now = arrival + touch(address, False, arrival)
+            complete = nvm_read_done(address, now)
+            hot.move_to_end(address)
+            if stage_on:
+                st_rmeta.append(now - arrival)
+                st_rnvm.append(complete - now)
+            latency = complete - arrival
+            read_latency(latency)
+            return latency
 
-        core = next(iter(cursor.active))
-        stream = cursor.streams[core]
-        position = cursor.positions[core]
-        length = len(stream)
-        now = cursor.core_time[core]
-
-        while position < length and issued != max_requests:
-            req = stream[position]
-            gap = gaps[req]
-            arrival = now + gap * npi
-            instructions += gap
-            compute_cycles += gap * base_cpi
-            address = addresses[req]
-            block = address // per_block
-            if ops[req]:
-                slot = slots[req]
-                line = payload[slot : slot + line_size]
-                if len(line) != line_size:
-                    self._check_line(line)
-                if not 0 <= address < data_lines:
-                    self._check_data_address(address)
-                # Hot-set touch (scalar _touch_hot, eviction via helper).
-                if address in hot:
-                    hot.move_to_end(address)
-                else:
-                    hot[address] = None
-                    if len(hot) > hot_cap:
-                        victim, _ = hot.popitem(last=False)
-                        self._encrypt_cold_line(victim, arrival)
-                writes_requested += 1
-                writes_stored += 1
-                plaintext_bus += 1
-                if block in cache_blocks:
-                    cache.hits += 1
-                    cache_blocks.move_to_end(block)
-                    cache_blocks[block] = True
-                    wnow = arrival
-                else:
-                    wnow = arrival + access_counter(address, True, arrival)
-                complete = nvm_write_done(address, line, wnow)  # plaintext, no AES
-                written_set.add(address)
-                counters.pop(address, None)
-                latency = complete - arrival
-                if stage_on:
-                    st_wnvm.append(complete - wnow)
-                    st_write.append(complete - arrival)
-                wl_total += latency
-                wl_count += 1
-                if latency > wl_max:
-                    wl_max = latency
-                if wl_count == 1 or latency < wl_min:
-                    wl_min = latency
-                writes += 1
-                if persistent[req]:
-                    now = complete
-                    stall_cycles += latency * clock
-                else:
-                    now = arrival
-            else:
-                if not 0 <= address < data_lines:
-                    self._check_data_address(address)
-                reads_requested += 1
-                if address in hot:
-                    # Hot read: plaintext at rest, no decryption, no XOR.
-                    plaintext_bus += 1
-                    if block in cache_blocks:
-                        cache.hits += 1
-                        cache_blocks.move_to_end(block)
-                        rnow = arrival
-                    else:
-                        rnow = arrival + access_counter(address, False, arrival)
-                    issue = rnow
-                    rnow = nvm_read_done(address, rnow)
-                    hot.move_to_end(address)
-                    if stage_on:
-                        st_rmeta.append(issue - arrival)
-                        st_rnvm.append(rnow - issue)
-                else:
-                    # Cold read: the parent's CME read pipeline.
-                    if block in cache_blocks:
-                        cache.hits += 1
-                        cache_blocks.move_to_end(block)
-                        rnow = arrival
-                    else:
-                        rnow = arrival + access_counter(address, False, arrival)
-                    if address in counters:
-                        add_aes_line()
-                    issue = rnow
-                    rc = nvm_read_done(address, rnow)
-                    rnow = rc + xor_ns
-                    if stage_on:
-                        st_rmeta.append(issue - arrival)
-                        st_rnvm.append(rc - issue)
-                        st_rcrypto.append(rnow - rc)
-                latency = rnow - arrival
-                if stage_on:
-                    st_read.append(latency)
-                rl_total += latency
-                rl_count += 1
-                if latency > rl_max:
-                    rl_max = latency
-                if rl_count == 1 or latency < rl_min:
-                    rl_min = latency
-                exposed = latency * exposure
-                now = arrival + exposed
-                stall_cycles += exposed * clock
-                reads += 1
-            issued += 1
-            position += 1
-
-        self.plaintext_bus_transfers = plaintext_bus
-        stats.writes_requested = writes_requested
-        stats.writes_stored = writes_stored
-        stats.reads_requested = reads_requested
-        wl.total_ns = wl_total
-        wl.count = wl_count
-        wl.max_ns = wl_max
-        wl.min_ns = wl_min
-        rl.total_ns = rl_total
-        rl.count = rl_count
-        rl.max_ns = rl_max
-        rl.min_ns = rl_min
-
-        if stage_on:
-            record_many = stages.record_many
-            record_many("write.nvm", st_wnvm)
-            record_many("write", st_write)
-            record_many("read.metadata", st_rmeta)
-            record_many("read.nvm", st_rnvm)
-            record_many("read.crypto", st_rcrypto)
-            record_many("read", st_read)
-
-        cursor.positions[core] = position
-        cursor.core_time[core] = now
-        if position >= length:
-            cursor.active.discard(core)
-        cursor.instructions = instructions
-        cursor.stall_cycles = stall_cycles
-        cursor.compute_cycles = compute_cycles
-        return BatchOutcome(issued, reads, writes, 0)
+        return write, read
 
     def shutdown(self, now_ns: float) -> int:
         """Encrypt every remaining hot line (the power-down sweep)."""

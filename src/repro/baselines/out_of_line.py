@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.baselines.secure_nvm import SecureNvmConfig, TraditionalSecureNvmController
-from repro.core.batching import BatchOutcome
+from repro.core.batching import BatchColumns, ReadStep, WriteStep
 from repro.core.interface import WriteOutcome
 from repro.crypto.counter_mode import CounterModeEngine
 from repro.nvm.memory import NvmMainMemory
@@ -60,6 +60,23 @@ class OutOfLinePageDedupController(TraditionalSecureNvmController):
     def write(self, address: int, data: bytes, arrival_ns: float) -> WriteOutcome:
         """Every write reaches the array first; dedup happens later."""
         outcome = super().write(address, data, arrival_ns)
+        self._after_write(address, data, outcome.complete_ns)
+        return outcome
+
+    def _batch_steps(self, columns: BatchColumns) -> tuple[WriteStep, ReadStep]:
+        """The parent's steps with the page bookkeeping after each write, as in :meth:`write`."""
+        cme_write, read = super()._batch_steps(columns)
+        after_write = self._after_write
+
+        def write(address: int, line: bytes, arrival: float) -> tuple[float, bool, float]:
+            outcome = cme_write(address, line, arrival)
+            after_write(address, line, outcome[2])
+            return outcome
+
+        return write, read
+
+    def _after_write(self, address: int, data: bytes, complete_ns: float) -> None:
+        """Post-write bookkeeping: logical image, dirty page, scan trigger."""
         self._plain[address] = data
         page = address // self.lines_per_page
         self._pages.add(page)
@@ -71,230 +88,7 @@ class OutOfLinePageDedupController(TraditionalSecureNvmController):
         self._writes_since_scan += 1
         if self._writes_since_scan >= self.scan_interval_writes:
             self._writes_since_scan = 0
-            self._background_scan(outcome.complete_ns)
-        return outcome
-
-    def service_batch(self, batch, cursor, max_requests=None):
-        """Fused single-stream kernel: secure write path + page bookkeeping.
-
-        The parent's fused kernel refuses subclasses that override the
-        scalar methods, so out-of-line dedup would otherwise fall all the
-        way back to the generic scalar driver.  This kernel replays the
-        parent's inlined write/read pipelines (same float order, so reports
-        stay byte-identical) and interleaves the page-fingerprint
-        bookkeeping and scan trigger exactly where the scalar ``write``
-        override performs them.
-        """
-        cls = type(self)
-        if (
-            cls.write is not OutOfLinePageDedupController.write
-            or cls.read is not TraditionalSecureNvmController.read
-            or cls._background_scan is not OutOfLinePageDedupController._background_scan
-            or self._split is not None
-            or self.tracer.enabled
-            or self.timeline.enabled
-            or len(cursor.active) != 1
-        ):
-            return super().service_batch(batch, cursor, max_requests)
-
-        ops = batch.ops
-        addresses = batch.addresses
-        gaps = batch.gaps
-        persistent = batch.persistent
-        slots = batch.slots
-        payload = batch.payload
-        line_size = batch.line_size
-        npi = cursor.ns_per_instruction
-        exposure = cursor.read_stall_exposure
-        clock = cursor.clock_ghz
-        base_cpi = cursor.base_cpi
-
-        instructions = cursor.instructions
-        stall_cycles = cursor.stall_cycles
-        compute_cycles = cursor.compute_cycles
-        issued = reads = writes = 0
-
-        stats = self.stats
-        counters = self._counters
-        written_set = self._written
-        encrypt = self.cme.encrypt
-        add_aes_line = self.nvm.energy.add_aes_line
-        nvm_write_done = self.nvm.write_complete_ns
-        nvm_read_done = self.nvm.read_complete_ns
-        cache = self.counter_cache
-        cache_blocks = cache._blocks
-        per_block = cache.entries_per_block
-        access_counter = self._access_counter
-        aes_ns = self.config.aes_latency_ns
-        xor_ns = self.config.xor_latency_ns
-        data_lines = self.data_lines
-
-        # Summary-mode stage accounting (columnar, flushed per batch).
-        stages = self.stages
-        stage_on = stages.enabled
-        st_wcrypto: list[float] = []
-        st_wnvm: list[float] = []
-        st_write: list[float] = []
-        st_rmeta: list[float] = []
-        st_rnvm: list[float] = []
-        st_rcrypto: list[float] = []
-        st_read: list[float] = []
-
-        plain = self._plain
-        page_fp = self._page_fp
-        pages = self._pages
-        merged = self._merged
-        lines_per_page = self.lines_per_page
-        scan_interval = self.scan_interval_writes
-        writes_since_scan = self._writes_since_scan
-
-        writes_requested = stats.writes_requested
-        writes_stored = stats.writes_stored
-        reads_requested = stats.reads_requested
-        wl = stats.write_latency
-        wl_total = wl.total_ns
-        wl_count = wl.count
-        wl_max = wl.max_ns
-        wl_min = wl.min_ns
-        rl = stats.read_latency
-        rl_total = rl.total_ns
-        rl_count = rl.count
-        rl_max = rl.max_ns
-        rl_min = rl.min_ns
-
-        core = next(iter(cursor.active))
-        stream = cursor.streams[core]
-        position = cursor.positions[core]
-        length = len(stream)
-        now = cursor.core_time[core]
-
-        while position < length and issued != max_requests:
-            req = stream[position]
-            gap = gaps[req]
-            arrival = now + gap * npi
-            instructions += gap
-            compute_cycles += gap * base_cpi
-            address = addresses[req]
-            block = address // per_block
-            if ops[req]:
-                slot = slots[req]
-                line = payload[slot : slot + line_size]
-                if len(line) != line_size:
-                    self._check_line(line)
-                if not 0 <= address < data_lines:
-                    self._check_data_address(address)
-                writes_requested += 1
-                writes_stored += 1
-                if block in cache_blocks:
-                    cache.hits += 1
-                    cache_blocks.move_to_end(block)
-                    cache_blocks[block] = True
-                    cnow = arrival
-                else:
-                    cnow = arrival + access_counter(address, True, arrival)
-                counter = counters.get(address, 0) + 1
-                counters[address] = counter
-                ciphertext = encrypt(line, address, counter)
-                add_aes_line()
-                issue = cnow + aes_ns
-                complete = nvm_write_done(address, ciphertext, issue)
-                written_set.add(address)
-                latency = complete - arrival
-                if stage_on:
-                    st_wcrypto.append(issue - cnow)
-                    st_wnvm.append(complete - issue)
-                    st_write.append(latency)
-                wl_total += latency
-                wl_count += 1
-                if latency > wl_max:
-                    wl_max = latency
-                if wl_count == 1 or latency < wl_min:
-                    wl_min = latency
-                # Out-of-line bookkeeping, in scalar ``write`` order: the
-                # timed write fully completed, now the logical image, line
-                # fingerprint, dirty-page tracking and scan trigger.
-                plain[address] = line
-                page = address // lines_per_page
-                pages.add(page)
-                page_fp.pop(page, None)
-                if page in merged:
-                    merged.discard(page)
-                    self.capacity_saved_lines -= lines_per_page
-                writes_since_scan += 1
-                if writes_since_scan >= scan_interval:
-                    writes_since_scan = 0
-                    self._background_scan(complete)
-                writes += 1
-                if persistent[req]:
-                    now = complete
-                    stall_cycles += latency * clock
-                else:
-                    now = arrival
-            else:
-                if not 0 <= address < data_lines:
-                    self._check_data_address(address)
-                reads_requested += 1
-                if block in cache_blocks:
-                    cache.hits += 1
-                    cache_blocks.move_to_end(block)
-                    rnow = arrival
-                else:
-                    rnow = arrival + access_counter(address, False, arrival)
-                if address in counters:
-                    add_aes_line()
-                issue = rnow
-                rc = nvm_read_done(address, rnow)
-                rnow = rc + xor_ns
-                latency = rnow - arrival
-                if stage_on:
-                    st_rmeta.append(issue - arrival)
-                    st_rnvm.append(rc - issue)
-                    st_rcrypto.append(rnow - rc)
-                    st_read.append(latency)
-                rl_total += latency
-                rl_count += 1
-                if latency > rl_max:
-                    rl_max = latency
-                if rl_count == 1 or latency < rl_min:
-                    rl_min = latency
-                exposed = latency * exposure
-                now = arrival + exposed
-                stall_cycles += exposed * clock
-                reads += 1
-            issued += 1
-            position += 1
-
-        stats.writes_requested = writes_requested
-        stats.writes_stored = writes_stored
-        stats.reads_requested = reads_requested
-        wl.total_ns = wl_total
-        wl.count = wl_count
-        wl.max_ns = wl_max
-        wl.min_ns = wl_min
-        rl.total_ns = rl_total
-        rl.count = rl_count
-        rl.max_ns = rl_max
-        rl.min_ns = rl_min
-        self._writes_since_scan = writes_since_scan
-
-        if stage_on:
-            record_many = stages.record_many
-            record_many("write.crypto", st_wcrypto)
-            record_many("write.nvm", st_wnvm)
-            record_many("write", st_write)
-            record_many("read.metadata", st_rmeta)
-            record_many("read.nvm", st_rnvm)
-            record_many("read.crypto", st_rcrypto)
-            record_many("read", st_read)
-
-        cursor.positions[core] = position
-        cursor.core_time[core] = now
-        if position >= length:
-            cursor.active.discard(core)
-        cursor.instructions = instructions
-        cursor.stall_cycles = stall_cycles
-        cursor.compute_cycles = compute_cycles
-        return BatchOutcome(issued, reads, writes, 0)
+            self._background_scan(complete_ns)
 
     def _background_scan(self, now_ns: float) -> None:
         """Group pages by content; merge newly identical ones.

@@ -10,9 +10,10 @@ and its hot blocks sit in the same 2 MB-class metadata cache DeWrite reuses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from repro.core.batching import BatchOutcome
-from repro.core.interface import MemoryController, ReadOutcome, WriteOutcome
+from repro.core.batching import BatchColumns, ReadStep, WriteStep
+from repro.core.interface import FusedController, ReadOutcome, WriteOutcome
 from repro.core.metadata_cache import MetadataCache
 from repro.core.stats import DeWriteStats
 from repro.crypto.counter_mode import CounterModeEngine
@@ -47,7 +48,7 @@ class SecureNvmConfig:
         return self.counter_cache_bytes * 8 // (self.counter_bits * self.counters_per_block)
 
 
-class TraditionalSecureNvmController(MemoryController):
+class TraditionalSecureNvmController(FusedController):
     """CME-only memory controller: the paper's comparison system."""
 
     def __init__(
@@ -184,210 +185,82 @@ class TraditionalSecureNvmController(MemoryController):
 
     # -- batched request interface -------------------------------------------
 
-    def service_batch(self, batch, cursor, max_requests=None):
-        """Fused single-stream kernel for the plain (non-split-counter) path.
+    def _batch_steps(self, columns: BatchColumns) -> tuple[WriteStep, ReadStep]:
+        """:meth:`write` / :meth:`read` as fused steps (byte-identical effects).
 
-        Same contract as the DeWrite fused kernel: scalar write/read
-        pipelines inlined into the issue loop, counters and latency
-        accumulators batched into locals, float arithmetic in scalar order
-        so reports stay byte-identical.  Falls back to the generic driver
-        for subclasses (Silent Shredder, i-NVMM, out-of-line dedup override
-        the scalar methods), split-counter mode, attached tracer/timeline
-        observers, or multi-stream cursors.  A stage accumulator (summary
-        mode) does not force the fallback: stage durations are collected
-        columnar and flushed per batch.
+        Counters go straight to the stats object, latencies and stage
+        samples to ``columns``.  Reads skip the plaintext reconstruction,
+        which the issue loop would discard; metadata latency, array timing
+        and AES energy are charged as in :meth:`read`.
         """
-        cls = type(self)
-        if (
-            cls.write is not TraditionalSecureNvmController.write
-            or cls.read is not TraditionalSecureNvmController.read
-            or self._split is not None
-            or self.tracer.enabled
-            or self.timeline.enabled
-            or len(cursor.active) != 1
-        ):
-            return super().service_batch(batch, cursor, max_requests)
-
-        ops = batch.ops
-        addresses = batch.addresses
-        gaps = batch.gaps
-        persistent = batch.persistent
-        slots = batch.slots
-        payload = batch.payload
-        line_size = batch.line_size
-        npi = cursor.ns_per_instruction
-        exposure = cursor.read_stall_exposure
-        clock = cursor.clock_ghz
-        base_cpi = cursor.base_cpi
-
-        instructions = cursor.instructions
-        stall_cycles = cursor.stall_cycles
-        compute_cycles = cursor.compute_cycles
-        issued = reads = writes = 0
-
         stats = self.stats
         counters = self._counters
-        written_set = self._written
+        split = self._split
+        written = self._written
         encrypt = self.cme.encrypt
-        energy = self.nvm.energy
-        add_aes_line = energy.add_aes_line
+        add_aes_line = self.nvm.energy.add_aes_line
         nvm_write_done = self.nvm.write_complete_ns
         nvm_read_done = self.nvm.read_complete_ns
-        cache = self.counter_cache
-        cache_blocks = cache._blocks
-        per_block = cache.entries_per_block
-        access_counter = self._access_counter
+        touch = self._counter_touch()
         aes_ns = self.config.aes_latency_ns
         xor_ns = self.config.xor_latency_ns
+        line_size = self.line_size
         data_lines = self.data_lines
+        write_latency = columns.write_latency.append
+        read_latency = columns.read_latency.append
+        stage_on = columns.stages_on
+        st_wcrypto = columns.stage("write.crypto")
+        st_wnvm = columns.stage("write.nvm")
+        st_rmeta = columns.stage("read.metadata")
+        st_rnvm = columns.stage("read.nvm")
+        st_rcrypto = columns.stage("read.crypto")
 
-        # Summary-mode stage accounting (columnar, flushed per batch).
-        stages = self.stages
-        stage_on = stages.enabled
-        st_wcrypto: list[float] = []
-        st_wnvm: list[float] = []
-        st_write: list[float] = []
-        st_rmeta: list[float] = []
-        st_rnvm: list[float] = []
-        st_rcrypto: list[float] = []
-        st_read: list[float] = []
-
-        writes_requested = stats.writes_requested
-        writes_stored = stats.writes_stored
-        reads_requested = stats.reads_requested
-        wl = stats.write_latency
-        wl_total = wl.total_ns
-        wl_count = wl.count
-        wl_max = wl.max_ns
-        wl_min = wl.min_ns
-        rl = stats.read_latency
-        rl_total = rl.total_ns
-        rl_count = rl.count
-        rl_max = rl.max_ns
-        rl_min = rl.min_ns
-
-        core = next(iter(cursor.active))
-        stream = cursor.streams[core]
-        position = cursor.positions[core]
-        length = len(stream)
-        now = cursor.core_time[core]
-
-        while position < length and issued != max_requests:
-            req = stream[position]
-            gap = gaps[req]
-            arrival = now + gap * npi
-            instructions += gap
-            compute_cycles += gap * base_cpi
-            address = addresses[req]
-            # Counter-cache touches are fast-pathed for resident blocks;
-            # the slow path reuses the scalar helper (NVM fetch + writeback).
-            block = address // per_block
-            if ops[req]:
-                slot = slots[req]
-                line = payload[slot : slot + line_size]
-                if len(line) != line_size:
-                    self._check_line(line)
-                if not 0 <= address < data_lines:
-                    self._check_data_address(address)
-                writes_requested += 1
-                writes_stored += 1
-                if block in cache_blocks:
-                    cache.hits += 1
-                    cache_blocks.move_to_end(block)
-                    cache_blocks[block] = True
-                    cnow = arrival
-                else:
-                    cnow = arrival + access_counter(address, True, arrival)
+        def write(address: int, line: bytes, arrival: float) -> tuple[float, bool, float]:
+            if len(line) != line_size:
+                self._check_line(line)
+            if not 0 <= address < data_lines:
+                self._check_data_address(address)
+            stats.writes_requested += 1
+            stats.writes_stored += 1
+            now = arrival + touch(address, True, arrival)
+            if split is None:
                 counter = counters.get(address, 0) + 1
                 counters[address] = counter
-                ciphertext = encrypt(line, address, counter)
-                add_aes_line()
-                issue = cnow + aes_ns
-                complete = nvm_write_done(address, ciphertext, issue)
-                written_set.add(address)
-                if stage_on:
-                    st_wcrypto.append(issue - cnow)
-                    st_wnvm.append(complete - issue)
-                    st_write.append(complete - arrival)
-                latency = complete - arrival
-                wl_total += latency
-                wl_count += 1
-                if latency > wl_max:
-                    wl_max = latency
-                if wl_count == 1 or latency < wl_min:
-                    wl_min = latency
-                writes += 1
-                if persistent[req]:
-                    now = complete
-                    stall_cycles += latency * clock
-                else:
-                    now = arrival
+                overflow = None
             else:
-                # ReadOutcome.data is discarded by the issue loop, so the
-                # plaintext reconstruction is skipped; metadata latency,
-                # array timing and AES energy are charged as in scalar.
-                if not 0 <= address < data_lines:
-                    self._check_data_address(address)
-                reads_requested += 1
-                if block in cache_blocks:
-                    cache.hits += 1
-                    cache_blocks.move_to_end(block)
-                    rnow = arrival
-                else:
-                    rnow = arrival + access_counter(address, False, arrival)
-                if address in counters:
-                    add_aes_line()
-                issue = rnow
-                rc = nvm_read_done(address, rnow)
-                rnow = rc + xor_ns
-                if stage_on:
-                    st_rmeta.append(issue - arrival)
-                    st_rnvm.append(rc - issue)
-                    st_rcrypto.append(rnow - rc)
-                    st_read.append(rnow - arrival)
-                latency = rnow - arrival
-                rl_total += latency
-                rl_count += 1
-                if latency > rl_max:
-                    rl_max = latency
-                if rl_count == 1 or latency < rl_min:
-                    rl_min = latency
-                exposed = latency * exposure
-                now = arrival + exposed
-                stall_cycles += exposed * clock
-                reads += 1
-            issued += 1
-            position += 1
+                counter, overflow = split.advance(address)
+            ciphertext = encrypt(line, address, counter)
+            add_aes_line()
+            issue = now + aes_ns
+            complete = nvm_write_done(address, ciphertext, issue)
+            written.add(address)
+            if overflow is not None:
+                self._reencrypt_page(overflow, address, complete)
+            if stage_on:
+                st_wcrypto.append(issue - now)
+                st_wnvm.append(complete - issue)
+            latency = complete - arrival
+            write_latency(latency)
+            return latency, False, complete
 
-        stats.writes_requested = writes_requested
-        stats.writes_stored = writes_stored
-        stats.reads_requested = reads_requested
-        wl.total_ns = wl_total
-        wl.count = wl_count
-        wl.max_ns = wl_max
-        wl.min_ns = wl_min
-        rl.total_ns = rl_total
-        rl.count = rl_count
-        rl.max_ns = rl_max
-        rl.min_ns = rl_min
-        if stage_on:
-            record_many = stages.record_many
-            record_many("write.crypto", st_wcrypto)
-            record_many("write.nvm", st_wnvm)
-            record_many("write", st_write)
-            record_many("read.metadata", st_rmeta)
-            record_many("read.nvm", st_rnvm)
-            record_many("read.crypto", st_rcrypto)
-            record_many("read", st_read)
+        def read(address: int, arrival: float) -> float:
+            if not 0 <= address < data_lines:
+                self._check_data_address(address)
+            stats.reads_requested += 1
+            issue = arrival + touch(address, False, arrival)
+            if (address in counters) if split is None else (address in written):
+                add_aes_line()  # OTP generation for decryption
+            done = nvm_read_done(address, issue)
+            now = done + xor_ns
+            if stage_on:
+                st_rmeta.append(issue - arrival)
+                st_rnvm.append(done - issue)
+                st_rcrypto.append(now - done)
+            latency = now - arrival
+            read_latency(latency)
+            return latency
 
-        cursor.positions[core] = position
-        cursor.core_time[core] = now
-        if position >= length:
-            cursor.active.discard(core)
-        cursor.instructions = instructions
-        cursor.stall_cycles = stall_cycles
-        cursor.compute_cycles = compute_cycles
-        return BatchOutcome(issued, reads, writes, 0)
+        return write, read
 
     # -- counter-cache plumbing ---------------------------------------------
 
@@ -405,6 +278,30 @@ class TraditionalSecureNvmController(MemoryController):
         if result.evicted_dirty_block is not None:
             self._writeback_counters(result.evicted_dirty_block, now_ns)
         return extra
+
+    def _counter_touch(self) -> Callable[[int, bool, float], float]:
+        """:meth:`_access_counter` for fused steps: resident blocks refresh inline.
+
+        A hit has exactly :meth:`MetadataCache.access`'s effects (hit count,
+        LRU motion, dirty bit) without allocating its result; a miss takes
+        :meth:`_access_counter` itself.
+        """
+        cache = self.counter_cache
+        blocks = cache._blocks
+        per_block = cache.entries_per_block
+        access_counter = self._access_counter
+
+        def touch(address: int, write: bool, now_ns: float) -> float:
+            block = address // per_block
+            if block in blocks:
+                cache.hits += 1
+                blocks.move_to_end(block)
+                if write:
+                    blocks[block] = True
+                return 0.0
+            return access_counter(address, write, now_ns)
+
+        return touch
 
     def _writeback_counters(self, block: int, now_ns: float) -> None:
         self._payload_version += 1

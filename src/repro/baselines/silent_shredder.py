@@ -17,7 +17,7 @@ counter cache.
 from __future__ import annotations
 
 from repro.baselines.secure_nvm import SecureNvmConfig, TraditionalSecureNvmController
-from repro.core.batching import BatchOutcome
+from repro.core.batching import BatchColumns, ReadStep, WriteStep
 from repro.core.interface import ReadOutcome, WriteOutcome
 from repro.crypto.counter_mode import CounterModeEngine
 from repro.nvm.memory import NvmMainMemory
@@ -87,241 +87,54 @@ class SilentShredderController(TraditionalSecureNvmController):
             stages.record("read", complete - arrival_ns)
         return ReadOutcome(latency_ns=latency, data=self._zero_line, complete_ns=complete)
 
-    def service_batch(self, batch, cursor, max_requests=None):
-        """Fused single-stream kernel with the zero-line shortcut inlined.
-
-        Replays the parent's inlined CME write/read pipelines for non-zero
-        lines and the counter-manipulation shortcut for all-zero lines /
-        shredded reads, in scalar float order so reports stay
-        byte-identical.  Falls back to the generic driver for subclasses,
-        split-counter mode, an attached tracer/timeline, or multi-stream
-        cursors; a stage accumulator (summary mode) keeps the kernel fused
-        and is fed by columnar per-batch flushes.
-        """
-        cls = type(self)
-        if (
-            cls.write is not SilentShredderController.write
-            or cls.read is not SilentShredderController.read
-            or self._split is not None
-            or self.tracer.enabled
-            or self.timeline.enabled
-            or len(cursor.active) != 1
-        ):
-            return super().service_batch(batch, cursor, max_requests)
-
-        ops = batch.ops
-        addresses = batch.addresses
-        gaps = batch.gaps
-        persistent = batch.persistent
-        slots = batch.slots
-        payload = batch.payload
-        line_size = batch.line_size
-        npi = cursor.ns_per_instruction
-        exposure = cursor.read_stall_exposure
-        clock = cursor.clock_ghz
-        base_cpi = cursor.base_cpi
-
-        instructions = cursor.instructions
-        stall_cycles = cursor.stall_cycles
-        compute_cycles = cursor.compute_cycles
-        issued = reads = writes = deduplicated = 0
-
+    def _batch_steps(self, columns: BatchColumns) -> tuple[WriteStep, ReadStep]:
+        """The parent's steps with the zero-line shortcut in front, as in :meth:`write` / :meth:`read`."""
+        cme_write, cme_read = super()._batch_steps(columns)
         stats = self.stats
-        counters = self._counters
-        written_set = self._written
         shredded = self._shredded
         zero_line = self._zero_line
-        encrypt = self.cme.encrypt
-        add_aes_line = self.nvm.energy.add_aes_line
-        nvm_write_done = self.nvm.write_complete_ns
-        nvm_read_done = self.nvm.read_complete_ns
-        cache = self.counter_cache
-        cache_blocks = cache._blocks
-        per_block = cache.entries_per_block
-        access_counter = self._access_counter
-        aes_ns = self.config.aes_latency_ns
+        touch = self._counter_touch()
         xor_ns = self.config.xor_latency_ns
         data_lines = self.data_lines
+        write_latency = columns.write_latency.append
+        read_latency = columns.read_latency.append
+        stage_on = columns.stages_on
+        st_wmeta = columns.stage("write.meta")
+        st_rmeta = columns.stage("read.metadata")
+        st_rcrypto = columns.stage("read.crypto")
 
-        # Summary-mode stage accounting (columnar, flushed per batch).
-        stages = self.stages
-        stage_on = stages.enabled
-        st_wmeta: list[float] = []
-        st_wcrypto: list[float] = []
-        st_wnvm: list[float] = []
-        st_write: list[float] = []
-        st_rmeta: list[float] = []
-        st_rnvm: list[float] = []
-        st_rcrypto: list[float] = []
-        st_read: list[float] = []
+        def write(address: int, line: bytes, arrival: float) -> tuple[float, bool, float]:
+            if line != zero_line:
+                shredded.discard(address)
+                return cme_write(address, line, arrival)
+            if not 0 <= address < data_lines:
+                self._check_data_address(address)
+            stats.writes_requested += 1
+            stats.writes_deduplicated += 1
+            shredded.add(address)
+            complete = arrival + touch(address, True, arrival)
+            latency = complete - arrival
+            if stage_on:
+                st_wmeta.append(latency)
+            write_latency(latency)
+            return latency, True, complete
 
-        writes_requested = stats.writes_requested
-        writes_stored = stats.writes_stored
-        writes_deduplicated = stats.writes_deduplicated
-        reads_requested = stats.reads_requested
-        wl = stats.write_latency
-        wl_total = wl.total_ns
-        wl_count = wl.count
-        wl_max = wl.max_ns
-        wl_min = wl.min_ns
-        rl = stats.read_latency
-        rl_total = rl.total_ns
-        rl_count = rl.count
-        rl_max = rl.max_ns
-        rl_min = rl.min_ns
+        def read(address: int, arrival: float) -> float:
+            if address not in shredded:
+                return cme_read(address, arrival)
+            if not 0 <= address < data_lines:
+                self._check_data_address(address)
+            stats.reads_requested += 1
+            meta_done = arrival + touch(address, False, arrival)
+            complete = meta_done + xor_ns
+            if stage_on:
+                st_rmeta.append(meta_done - arrival)
+                st_rcrypto.append(complete - meta_done)
+            latency = complete - arrival
+            read_latency(latency)
+            return latency
 
-        core = next(iter(cursor.active))
-        stream = cursor.streams[core]
-        position = cursor.positions[core]
-        length = len(stream)
-        now = cursor.core_time[core]
-
-        while position < length and issued != max_requests:
-            req = stream[position]
-            gap = gaps[req]
-            arrival = now + gap * npi
-            instructions += gap
-            compute_cycles += gap * base_cpi
-            address = addresses[req]
-            block = address // per_block
-            if ops[req]:
-                slot = slots[req]
-                line = payload[slot : slot + line_size]
-                if len(line) != line_size:
-                    self._check_line(line)
-                if not 0 <= address < data_lines:
-                    self._check_data_address(address)
-                writes_requested += 1
-                if line != zero_line:
-                    # Non-zero: the parent's CME write pipeline.
-                    shredded.discard(address)
-                    writes_stored += 1
-                    if block in cache_blocks:
-                        cache.hits += 1
-                        cache_blocks.move_to_end(block)
-                        cache_blocks[block] = True
-                        cnow = arrival
-                    else:
-                        cnow = arrival + access_counter(address, True, arrival)
-                    counter = counters.get(address, 0) + 1
-                    counters[address] = counter
-                    ciphertext = encrypt(line, address, counter)
-                    add_aes_line()
-                    issue = cnow + aes_ns
-                    complete = nvm_write_done(address, ciphertext, issue)
-                    written_set.add(address)
-                    if stage_on:
-                        st_wcrypto.append(issue - cnow)
-                        st_wnvm.append(complete - issue)
-                else:
-                    # All-zero: cancel the write; one counter manipulation.
-                    writes_deduplicated += 1
-                    deduplicated += 1
-                    shredded.add(address)
-                    if block in cache_blocks:
-                        cache.hits += 1
-                        cache_blocks.move_to_end(block)
-                        cache_blocks[block] = True
-                        complete = arrival
-                    else:
-                        complete = arrival + access_counter(address, True, arrival)
-                    if stage_on:
-                        st_wmeta.append(complete - arrival)
-                latency = complete - arrival
-                if stage_on:
-                    st_write.append(latency)
-                wl_total += latency
-                wl_count += 1
-                if latency > wl_max:
-                    wl_max = latency
-                if wl_count == 1 or latency < wl_min:
-                    wl_min = latency
-                writes += 1
-                if persistent[req]:
-                    now = complete
-                    stall_cycles += latency * clock
-                else:
-                    now = arrival
-            else:
-                if not 0 <= address < data_lines:
-                    self._check_data_address(address)
-                reads_requested += 1
-                if address in shredded:
-                    # Shredded: zero-fill from counter state, no array read.
-                    if block in cache_blocks:
-                        cache.hits += 1
-                        cache_blocks.move_to_end(block)
-                        meta_done = arrival
-                    else:
-                        meta_done = arrival + access_counter(address, False, arrival)
-                    rnow = meta_done + xor_ns
-                    if stage_on:
-                        st_rmeta.append(meta_done - arrival)
-                        st_rcrypto.append(rnow - meta_done)
-                else:
-                    if block in cache_blocks:
-                        cache.hits += 1
-                        cache_blocks.move_to_end(block)
-                        rnow = arrival
-                    else:
-                        rnow = arrival + access_counter(address, False, arrival)
-                    if address in counters:
-                        add_aes_line()
-                    issue = rnow
-                    rc = nvm_read_done(address, rnow)
-                    rnow = rc + xor_ns
-                    if stage_on:
-                        st_rmeta.append(issue - arrival)
-                        st_rnvm.append(rc - issue)
-                        st_rcrypto.append(rnow - rc)
-                latency = rnow - arrival
-                if stage_on:
-                    st_read.append(latency)
-                rl_total += latency
-                rl_count += 1
-                if latency > rl_max:
-                    rl_max = latency
-                if rl_count == 1 or latency < rl_min:
-                    rl_min = latency
-                exposed = latency * exposure
-                now = arrival + exposed
-                stall_cycles += exposed * clock
-                reads += 1
-            issued += 1
-            position += 1
-
-        stats.writes_requested = writes_requested
-        stats.writes_stored = writes_stored
-        stats.writes_deduplicated = writes_deduplicated
-        stats.reads_requested = reads_requested
-        wl.total_ns = wl_total
-        wl.count = wl_count
-        wl.max_ns = wl_max
-        wl.min_ns = wl_min
-        rl.total_ns = rl_total
-        rl.count = rl_count
-        rl.max_ns = rl_max
-        rl.min_ns = rl_min
-
-        if stage_on:
-            record_many = stages.record_many
-            record_many("write.meta", st_wmeta)
-            record_many("write.crypto", st_wcrypto)
-            record_many("write.nvm", st_wnvm)
-            record_many("write", st_write)
-            record_many("read.metadata", st_rmeta)
-            record_many("read.nvm", st_rnvm)
-            record_many("read.crypto", st_rcrypto)
-            record_many("read", st_read)
-
-        cursor.positions[core] = position
-        cursor.core_time[core] = now
-        if position >= length:
-            cursor.active.discard(core)
-        cursor.instructions = instructions
-        cursor.stall_cycles = stall_cycles
-        cursor.compute_cycles = compute_cycles
-        return BatchOutcome(issued, reads, writes, deduplicated)
+        return write, read
 
     @property
     def shredded_lines(self) -> int:

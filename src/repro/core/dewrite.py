@@ -22,10 +22,10 @@ from __future__ import annotations
 import hashlib
 from typing import Literal
 
-from repro.core.batching import BatchOutcome
+from repro.core.batching import BatchColumns, ReadStep, WriteStep
 from repro.core.config import DeWriteConfig
 from repro.core.dedup_engine import DedupEngine, MetadataSystem
-from repro.core.interface import MemoryController, ReadOutcome, WriteOutcome
+from repro.core.interface import FusedController, ReadOutcome, WriteOutcome
 from repro.core.predictor import HistoryWindowPredictor
 from repro.core.stats import DeWriteStats
 from repro.core.tables import DedupIndex, MetadataLayout, MetadataTouch
@@ -38,7 +38,7 @@ from repro.obs.trace import TracerLike
 IntegrationMode = Literal["predictive", "direct", "parallel"]
 
 
-class DeWriteController(MemoryController):
+class DeWriteController(FusedController):
     """Secure NVM memory controller with in-line cache-line deduplication."""
 
     def __init__(
@@ -299,56 +299,23 @@ class DeWriteController(MemoryController):
 
     # -- batched request interface ---------------------------------------------
 
-    def service_batch(self, batch, cursor, max_requests=None):
-        """Fused single-stream write/read kernel (byte-identical to scalar).
+    def _batch_steps(self, columns: BatchColumns) -> tuple[WriteStep, ReadStep]:
+        """:meth:`write` / :meth:`read` as fused steps (byte-identical effects).
 
-        Inlines the scalar :meth:`write` / :meth:`read` pipelines into the
-        issue loop with every per-request allocation (Write/ReadOutcome,
-        latency-accumulator calls, per-request stats syncs) hoisted into
-        locals that are written back once per batch.  Float arithmetic is
-        performed in exactly the scalar order, so reports are bit-identical
-        — the property suite enforces this per controller.
-
-        Falls back to the generic driver whenever per-request effects are
-        observable (tracer/timeline attached), the scalar methods are
-        overridden, or more than one core stream is active (the fused loop
-        services a single arrival-ordered stream).  A stage accumulator
-        (summary mode) does *not* force the fallback: the kernel collects
-        per-stage durations columnar and flushes them per batch, producing
-        the same per-stage sums the scalar trace spans would aggregate to.
+        Controller internals are bound once per batch; counters go straight
+        to the stats object, latencies and stage samples to ``columns``, and
+        the prediction and metadata stats syncs to :meth:`_finish_batch`.
+        Reads skip the plaintext reconstruction (OTP decrypt, zero-line
+        materialisation), which the issue loop would discard; every timing
+        surrogate (metadata access, array read, AES energy, XOR latency) is
+        still charged.  ``write.crypto``/``write.nvm`` samples are recorded
+        by :meth:`_commit_unique` itself, so the wasted-encryption sample
+        is recorded directly too, keeping that stage's sample order scalar.
         """
-        cls = type(self)
-        if (
-            cls.write is not DeWriteController.write
-            or cls.read is not DeWriteController.read
-            or self.tracer.enabled
-            or self.timeline.enabled
-            or len(cursor.active) != 1
-        ):
-            return super().service_batch(batch, cursor, max_requests)
-
-        ops = batch.ops
-        addresses = batch.addresses
-        gaps = batch.gaps
-        persistent = batch.persistent
-        slots = batch.slots
-        payload = batch.payload
-        line_size = batch.line_size
-        npi = cursor.ns_per_instruction
-        exposure = cursor.read_stall_exposure
-        clock = cursor.clock_ghz
-        base_cpi = cursor.base_cpi
-
-        instructions = cursor.instructions
-        stall_cycles = cursor.stall_cycles
-        compute_cycles = cursor.compute_cycles
-        issued = reads = writes = deduplicated = 0
-
-        # Controller internals, hoisted once per batch.
         stats = self.stats
-        engine = self.engine
-        detect = engine.detect
-        truth_has_duplicate = engine.truth_has_duplicate
+        config = self.config
+        detect = self.engine.detect
+        truth_has_duplicate = self.engine.truth_has_duplicate
         energy = self.nvm.energy
         add_dedup_op = energy.add_dedup_op
         add_aes_line = energy.add_aes_line
@@ -360,224 +327,110 @@ class DeWriteController(MemoryController):
         metadata_access = self.metadata.access
         commit_unique = self._commit_unique
         nvm_read_done = self.nvm.read_complete_ns
-        enable_prediction = self.config.enable_prediction
+        enable_prediction = config.enable_prediction
         predict = self.predictor.predict
         score = self.predictor.complete
-        use_crc32 = self._use_crc32
-        slow_fingerprint = self._fingerprint
-        xor_ns = self._xor_ns
+        fingerprint = line_fingerprint if self._use_crc32 else self._fingerprint
+        line_size = self.line_size
         data_lines = self._data_lines
+        xor_ns = self._xor_ns
+        aes_ns = self._aes_ns
+        fp_ns = config.fingerprint_latency_ns
         is_direct = self.mode == "direct"
         is_parallel = self.mode == "parallel"
-        par_enc = self.config.enable_parallel_encryption
-        aes_ns = self._aes_ns
-        fp_ns = self.config.fingerprint_latency_ns
+        par_enc = config.enable_parallel_encryption
+        write_latency = columns.write_latency.append
+        read_latency = columns.read_latency.append
+        stage_on = columns.stages_on
+        stage_record = self.stages.record
+        st_whash = columns.stage("write.hash")
+        st_wdedup = columns.stage("write.dedup")
+        st_rmeta = columns.stage("read.metadata")
+        st_rnvm = columns.stage("read.nvm")
+        st_rcrypto = columns.stage("read.crypto")
 
-        # Summary-mode stage accounting: durations are collected into
-        # plain lists (request order) and flushed once per batch.  The
-        # write.crypto/write.nvm samples of unique writes are recorded by
-        # _commit_unique itself, so the wasted-encryption sample below
-        # also records directly to keep that stage's sample order scalar.
-        stages = self.stages
-        stage_on = stages.enabled
-        stage_record = stages.record
-        st_whash: list[float] = []
-        st_wdedup: list[float] = []
-        st_write: list[float] = []
-        st_rmeta: list[float] = []
-        st_rnvm: list[float] = []
-        st_rcrypto: list[float] = []
-        st_read: list[float] = []
-
-        # Counter batching: plain integers, written back after the loop.
-        writes_requested = stats.writes_requested
-        writes_deduplicated = stats.writes_deduplicated
-        verify_reads_total = stats.verify_reads
-        crc_collisions = stats.crc_collisions
-        capped_rejects = stats.capped_reference_rejects
-        hash_matches = stats.hash_matches
-        missed_pna = stats.missed_duplicates_pna
-        wasted_encryptions = stats.wasted_encryptions
-        reads_requested = stats.reads_requested
-        reads_redirected = stats.reads_redirected
-        wl = stats.write_latency
-        wl_total = wl.total_ns
-        wl_count = wl.count
-        wl_max = wl.max_ns
-        wl_min = wl.min_ns
-        rl = stats.read_latency
-        rl_total = rl.total_ns
-        rl_count = rl.count
-        rl_max = rl.max_ns
-        rl_min = rl.min_ns
-
-        core = next(iter(cursor.active))
-        stream = cursor.streams[core]
-        position = cursor.positions[core]
-        length = len(stream)
-        now = cursor.core_time[core]
-
-        while position < length and issued != max_requests:
-            req = stream[position]
-            gap = gaps[req]
-            arrival = now + gap * npi
-            instructions += gap
-            compute_cycles += gap * base_cpi
-            address = addresses[req]
-            if ops[req]:
-                # ---- inlined write() ------------------------------------
-                slot = slots[req]
-                line = payload[slot : slot + line_size]
-                if len(line) != line_size:
-                    self._check_line(line)
-                if not 0 <= address < data_lines:
-                    self._check_data_address(address)
-                writes_requested += 1
-                predicted = predict() if enable_prediction else False
-                crc = line_fingerprint(line) if use_crc32 else slow_fingerprint(line)
-                detection = detect(line, crc, arrival, predicted)
-                add_dedup_op()
-                v = detection.verify_reads
-                if v:
-                    verify_reads_total += v
-                    hash_matches += 1
-                    crc_collisions += detection.collisions
-                capped_rejects += detection.capped_rejects
-                if detection.pna_skipped and truth_has_duplicate(line, crc):
-                    missed_pna += 1
-                if stage_on:
-                    hash_done = arrival + fp_ns
-                    st_whash.append(hash_done - arrival)
-                    st_wdedup.append(detection.done_ns - hash_done)
-                target = detection.duplicate_target
-                if target is not None:
-                    # ---- inlined _commit_duplicate() --------------------
-                    writes_deduplicated += 1
-                    touches = list(detection.touches)
-                    apply_duplicate(address, target, touches)
-                    complete = detection.done_ns
-                    replay(touches, complete)
-                    if not is_direct and (
-                        is_parallel or (par_enc and not predicted)
-                    ):
-                        add_aes_line()
-                        wasted_encryptions += 1
-                        if stage_on:
-                            stage_record("write.crypto", arrival + aes_ns - arrival)
-                    latency = complete - arrival
-                    dedup = True
-                    deduplicated += 1
-                else:
-                    outcome = commit_unique(
-                        address, line, crc, detection, predicted, arrival
-                    )
-                    latency = outcome.latency_ns
-                    complete = outcome.complete_ns
-                    dedup = False
-                if enable_prediction:
-                    score(predicted, dedup)
-                if stage_on:
-                    st_write.append(complete - arrival)
-                wl_total += latency
-                wl_count += 1
-                if latency > wl_max:
-                    wl_max = latency
-                if wl_count == 1 or latency < wl_min:
-                    wl_min = latency
-                writes += 1
-                if persistent[req]:
-                    now = complete
-                    stall_cycles += latency * clock
-                else:
-                    now = arrival
-            else:
-                # ---- inlined read() -------------------------------------
-                # The issue loop discards ReadOutcome.data, so the plaintext
-                # reconstruction (OTP decrypt / zero-line materialisation)
-                # is skipped; its timing surrogates (metadata access, array
-                # read, AES energy, xor latency) are all still charged.
-                if not 0 <= address < data_lines:
-                    self._check_data_address(address)
-                reads_requested += 1
-                rnow = arrival + metadata_access(
-                    "address_map", address, False, arrival, True
+        def write(address: int, line: bytes, arrival: float) -> tuple[float, bool, float]:
+            if len(line) != line_size:
+                self._check_line(line)
+            if not 0 <= address < data_lines:
+                self._check_data_address(address)
+            stats.writes_requested += 1
+            predicted = predict() if enable_prediction else False
+            crc = fingerprint(line)
+            detection = detect(line, crc, arrival, predicted)
+            add_dedup_op()
+            verify_reads = detection.verify_reads
+            if verify_reads:
+                stats.verify_reads += verify_reads
+                stats.hash_matches += 1
+                stats.crc_collisions += detection.collisions
+            if detection.capped_rejects:
+                stats.capped_reference_rejects += detection.capped_rejects
+            if detection.pna_skipped and truth_has_duplicate(line, crc):
+                stats.missed_duplicates_pna += 1
+            if stage_on:
+                hash_done = arrival + fp_ns
+                st_whash.append(hash_done - arrival)
+                st_wdedup.append(detection.done_ns - hash_done)
+            target = detection.duplicate_target
+            if target is None:
+                latency, dedup, complete = commit_unique(
+                    address, line, crc, detection, predicted, arrival
                 )
-                physical = physical_of(address)
-                if physical is None:
-                    issue = rnow
-                    rc = nvm_read_done(address, rnow)
-                    rnow = rc + xor_ns
-                else:
-                    if physical != address:
-                        reads_redirected += 1
-                    slot_table = counter_slot(physical)
-                    if slot_table == "overflow":
-                        slot_table = "address_map"
-                    rnow += metadata_access(slot_table, physical, False, rnow, True)
-                    issue = rnow
-                    rc = nvm_read_done(physical, rnow)
-                    rnow = rc + xor_ns
+            else:
+                # _commit_duplicate() without its WriteOutcome.
+                stats.writes_deduplicated += 1
+                touches = list(detection.touches)
+                apply_duplicate(address, target, touches)
+                complete = detection.done_ns
+                replay(touches, complete)
+                if not is_direct and (is_parallel or (par_enc and not predicted)):
                     add_aes_line()
-                if stage_on:
-                    st_rmeta.append(issue - arrival)
-                    st_rnvm.append(rc - issue)
-                    st_rcrypto.append(rnow - rc)
-                    st_read.append(rnow - arrival)
-                latency = rnow - arrival
-                rl_total += latency
-                rl_count += 1
-                if latency > rl_max:
-                    rl_max = latency
-                if rl_count == 1 or latency < rl_min:
-                    rl_min = latency
-                exposed = latency * exposure
-                now = arrival + exposed
-                stall_cycles += exposed * clock
-                reads += 1
-            issued += 1
-            position += 1
+                    stats.wasted_encryptions += 1
+                    if stage_on:
+                        stage_record("write.crypto", arrival + aes_ns - arrival)
+                latency = complete - arrival
+                dedup = True
+            if enable_prediction:
+                score(predicted, dedup)
+            write_latency(latency)
+            return latency, dedup, complete
 
-        # Write the batched counters and accumulators back.
-        stats.writes_requested = writes_requested
-        stats.writes_deduplicated = writes_deduplicated
-        stats.verify_reads = verify_reads_total
-        stats.crc_collisions = crc_collisions
-        stats.capped_reference_rejects = capped_rejects
-        stats.hash_matches = hash_matches
-        stats.missed_duplicates_pna = missed_pna
-        stats.wasted_encryptions = wasted_encryptions
-        stats.reads_requested = reads_requested
-        stats.reads_redirected = reads_redirected
-        wl.total_ns = wl_total
-        wl.count = wl_count
-        wl.max_ns = wl_max
-        wl.min_ns = wl_min
-        rl.total_ns = rl_total
-        rl.count = rl_count
-        rl.max_ns = rl_max
-        rl.min_ns = rl_min
-        if enable_prediction:
-            stats.predictions = self.predictor.predictions
-            stats.correct_predictions = self.predictor.correct
+        def read(address: int, arrival: float) -> float:
+            if not 0 <= address < data_lines:
+                self._check_data_address(address)
+            stats.reads_requested += 1
+            now = arrival + metadata_access("address_map", address, False, arrival, True)
+            physical = physical_of(address)
+            if physical is None:
+                issue = now
+                done = nvm_read_done(address, now)
+            else:
+                if physical != address:
+                    stats.reads_redirected += 1
+                table = counter_slot(physical)
+                if table == "overflow":
+                    table = "address_map"
+                now += metadata_access(table, physical, False, now, True)
+                issue = now
+                done = nvm_read_done(physical, now)
+                add_aes_line()
+            now = done + xor_ns
+            if stage_on:
+                st_rmeta.append(issue - arrival)
+                st_rnvm.append(done - issue)
+                st_rcrypto.append(now - done)
+            latency = now - arrival
+            read_latency(latency)
+            return latency
+
+        return write, read
+
+    def _finish_batch(self) -> None:
+        if self.config.enable_prediction:
+            self.stats.predictions = self.predictor.predictions
+            self.stats.correct_predictions = self.predictor.correct
         self._sync_metadata_stats()
-        if stage_on:
-            record_many = stages.record_many
-            record_many("write.hash", st_whash)
-            record_many("write.dedup", st_wdedup)
-            record_many("write", st_write)
-            record_many("read.metadata", st_rmeta)
-            record_many("read.nvm", st_rnvm)
-            record_many("read.crypto", st_rcrypto)
-            record_many("read", st_read)
-
-        cursor.positions[core] = position
-        cursor.core_time[core] = now
-        if position >= length:
-            cursor.active.discard(core)
-        cursor.instructions = instructions
-        cursor.stall_cycles = stall_cycles
-        cursor.compute_cycles = compute_cycles
-        return BatchOutcome(issued, reads, writes, deduplicated)
 
     # -- maintenance -----------------------------------------------------------
 

@@ -7,22 +7,34 @@ Shredder — services the same two requests against the same
 experiments are controller-agnostic.
 
 Controllers are addressed either one request at a time (:meth:`write` /
-:meth:`read`) or a batch at a time (:meth:`service_batch`), the latter being
-the hot path: the simulator hands the controller an
-:class:`~repro.workloads.batch.AccessBatch` plus a
-:class:`~repro.core.batching.BatchCursor` and the controller owns the issue
-loop, which lets subclasses fuse crypto/hash/dedup work across requests.
-The default implementation drives the scalar ``write``/``read`` methods, so
-every controller is batch-addressable without opting in.
+:meth:`read`) or a batch at a time (:meth:`service_batch`).  Both forms go
+through the one issue loop, :func:`repro.core.batching.issue`:
+
+- :meth:`MemoryController.service_batch` is the scalar reference: it
+  drives the controller's own ``write``/``read`` through that loop, so
+  every controller is batch-addressable without opting in;
+- :class:`FusedController` is the base of controllers that also define
+  per-batch *steps* (:meth:`FusedController._batch_steps`), which keep
+  counters and latencies columnar and skip per-request allocations.  Its
+  ``service_batch`` runs the steps whenever their effects are those of
+  ``write``/``read``, and otherwise falls back to the scalar reference,
+  counting why in ``batch.fallback.<reason>``.
 """
 
 from __future__ import annotations
 
 import abc
-import warnings
 from typing import TYPE_CHECKING, NamedTuple
 
-from repro.core.batching import BatchCursor, BatchOutcome
+from repro.core.batching import (
+    BatchColumns,
+    BatchCursor,
+    BatchOutcome,
+    ReadStep,
+    WriteStep,
+    issue,
+)
+from repro.core.stats import DeWriteStats
 from repro.nvm.memory import NvmMainMemory
 from repro.obs.metrics import registry
 from repro.obs.stages import NULL_STAGES, StagesLike
@@ -85,10 +97,10 @@ class MemoryController(abc.ABC):
         :meth:`_propagate_observers` to forward the observers to them.
 
         Observability modes and the batch path: attaching a *tracer* or
-        *timeline* records per-request detail, which forces the fused
-        ``service_batch`` kernels back onto the scalar loop (counted in
+        *timeline* records per-request detail, which sends fused
+        controllers to the scalar reference (counted in
         ``batch.fallback.*``).  Attaching only a *stages* accumulator is
-        **summary mode** — the fused kernels feed it with columnar
+        **summary mode** — the fused steps feed it with columnar
         per-batch flushes and stay fused.
         """
         if tracer is not None:
@@ -103,24 +115,6 @@ class MemoryController(abc.ABC):
 
     def _propagate_observers(self, tracer: TracerLike, timeline: TimelineLike) -> None:
         """Hook for subclasses to hand the observers to internal components."""
-
-    def attach_tracer(self, tracer: TracerLike) -> None:
-        """Deprecated: use :meth:`attach_observers`."""
-        warnings.warn(
-            "attach_tracer() is deprecated; use attach_observers(tracer=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.attach_observers(tracer=tracer)
-
-    def attach_timeline(self, timeline: TimelineLike) -> None:
-        """Deprecated: use :meth:`attach_observers`."""
-        warnings.warn(
-            "attach_timeline() is deprecated; use attach_observers(timeline=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.attach_observers(timeline=timeline)
 
     # -- scalar request interface ----------------------------------------------
 
@@ -142,137 +136,76 @@ class MemoryController(abc.ABC):
     ) -> BatchOutcome:
         """Service up to ``max_requests`` accesses of ``batch`` through ``cursor``.
 
-        Requests are issued in global arrival order (the per-core streams
-        are merged by next arrival time, ties broken as the scalar
-        simulator loop breaks them), and the cursor's clocks and cycle
-        accumulators advance exactly as that loop advances them — this
-        equivalence is the contract subclassed kernels must preserve and
-        the property suite enforces.
-
-        The base implementation simply drives the scalar :meth:`write` /
-        :meth:`read` methods, so tracing, timelines and subclass overrides
-        all behave identically to scalar servicing.
+        The scalar reference: the shared issue loop drives :meth:`write` /
+        :meth:`read` themselves, so tracing, timelines and subclass
+        overrides all behave exactly as request-at-a-time servicing.
         """
-        if cursor.active and type(self).service_batch is not MemoryController.service_batch:
-            # A fused kernel bailed out to this scalar-driving loop.  The
-            # fallback is correct but silent; count why it happened so
-            # `repro stats` and the overhead gate can see it.
-            if self.tracer.enabled:
-                reason = "tracer"
-            elif self.timeline.enabled:
-                reason = "timeline"
-            elif len(cursor.active) > 1:
-                reason = "multi_stream"
-            else:
-                reason = "overridden_scalar"
-            registry().counter(f"batch.fallback.{reason}").inc()
-        ops = batch.ops
-        addresses = batch.addresses
-        gaps = batch.gaps
-        persistent = batch.persistent
-        slots = batch.slots
-        payload = batch.payload
-        line_size = batch.line_size
-        streams = cursor.streams
-        positions = cursor.positions
-        core_time = cursor.core_time
-        active = cursor.active
-        npi = cursor.ns_per_instruction
-        exposure = cursor.read_stall_exposure
-        clock = cursor.clock_ghz
-        base_cpi = cursor.base_cpi
-        write = self.write
         read = self.read
 
-        instructions = cursor.instructions
-        stall_cycles = cursor.stall_cycles
-        compute_cycles = cursor.compute_cycles
-        issued = reads = writes = deduplicated = 0
+        def read_step(address: int, arrival_ns: float) -> float:
+            return read(address, arrival_ns).latency_ns
 
-        def next_arrival(core: int) -> float:
-            return core_time[core] + gaps[streams[core][positions[core]]] * npi
-
-        while active and issued != max_requests:
-            if len(active) == 1:
-                # Single-stream fast path: with one active core there is
-                # nothing to merge, so the per-iteration min()/dict traffic
-                # collapses to sequential replay over plain locals.  Every
-                # arithmetic operation matches the general path exactly.
-                core = next(iter(active))
-                stream = streams[core]
-                position = positions[core]
-                length = len(stream)
-                now = core_time[core]
-                while position < length and issued != max_requests:
-                    index = stream[position]
-                    gap = gaps[index]
-                    arrival = now + gap * npi
-                    instructions += gap
-                    compute_cycles += gap * base_cpi
-                    if ops[index]:
-                        slot = slots[index]
-                        outcome = write(
-                            addresses[index], payload[slot : slot + line_size], arrival
-                        )
-                        writes += 1
-                        if outcome.deduplicated:
-                            deduplicated += 1
-                        if persistent[index]:
-                            now = outcome.complete_ns
-                            stall_cycles += outcome.latency_ns * clock
-                        else:
-                            now = arrival
-                    else:
-                        outcome = read(addresses[index], arrival)
-                        exposed = outcome.latency_ns * exposure
-                        now = arrival + exposed
-                        stall_cycles += exposed * clock
-                        reads += 1
-                    issued += 1
-                    position += 1
-                positions[core] = position
-                core_time[core] = now
-                if position >= length:
-                    active.discard(core)
-                continue
-            core = min(active, key=next_arrival)
-            stream = streams[core]
-            position = positions[core]
-            index = stream[position]
-            gap = gaps[index]
-            arrival = core_time[core] + gap * npi
-            instructions += gap
-            compute_cycles += gap * base_cpi
-            if ops[index]:
-                slot = slots[index]
-                outcome = write(addresses[index], payload[slot : slot + line_size], arrival)
-                writes += 1
-                if outcome.deduplicated:
-                    deduplicated += 1
-                if persistent[index]:
-                    core_time[core] = outcome.complete_ns
-                    stall_cycles += outcome.latency_ns * clock
-                else:
-                    core_time[core] = arrival
-            else:
-                outcome = read(addresses[index], arrival)
-                exposed = outcome.latency_ns * exposure
-                core_time[core] = arrival + exposed
-                stall_cycles += exposed * clock
-                reads += 1
-            issued += 1
-            position += 1
-            positions[core] = position
-            if position >= len(stream):
-                active.discard(core)
-
-        cursor.instructions = instructions
-        cursor.stall_cycles = stall_cycles
-        cursor.compute_cycles = compute_cycles
-        return BatchOutcome(issued, reads, writes, deduplicated)
+        return issue(batch, cursor, self.write, read_step, max_requests)
 
     # -- helpers ----------------------------------------------------------------
 
     def _check_line(self, data: bytes) -> None:
         if len(data) != self.line_size:
             raise ValueError(f"line must be {self.line_size} bytes, got {len(data)}")
+
+
+class FusedController(MemoryController):
+    """A controller whose batches run through per-batch fused steps.
+
+    Subclasses define :meth:`_batch_steps` (and, for state the steps defer,
+    :meth:`_finish_batch`); a subclass that extends a parent's scalar
+    ``write``/``read`` extends the parent's steps the same way, by wrapping
+    them.  The steps must have exactly the effects of ``write``/``read``
+    minus the per-request observers, which is what the scalar-vs-batched
+    equivalence and golden-digest suites check.
+    """
+
+    stats: DeWriteStats
+
+    def service_batch(
+        self,
+        batch: AccessBatch,
+        cursor: BatchCursor,
+        max_requests: int | None = None,
+    ) -> BatchOutcome:
+        """Service a batch through the fused steps when they stand for ``write``/``read``."""
+        reason = self._fallback_reason()
+        if reason is not None:
+            if cursor.active:
+                registry().counter(f"batch.fallback.{reason}").inc()
+            return super().service_batch(batch, cursor, max_requests)
+        columns = BatchColumns(self.stages.enabled)
+        write, read = self._batch_steps(columns)
+        outcome = issue(batch, cursor, write, read, max_requests)
+        self._finish_batch()
+        columns.fold(self.stats, self.stages)
+        return outcome
+
+    def _fallback_reason(self) -> str | None:
+        """Why this batch must take the scalar reference (``None``: it need not).
+
+        Per-request observers see only the scalar path's detail, and the
+        steps stand for the ``write``/``read`` of the class that defines
+        them: a subclass overriding either method has effects they lack.
+        """
+        if self.tracer.enabled:
+            return "tracer"
+        if self.timeline.enabled:
+            return "timeline"
+        cls = type(self)
+        owner = next(k for k in cls.__mro__ if "_batch_steps" in vars(k))
+        if cls.write is not owner.write or cls.read is not owner.read:
+            return "overridden_scalar"
+        return None
+
+    @abc.abstractmethod
+    def _batch_steps(self, columns: BatchColumns) -> tuple[WriteStep, ReadStep]:
+        """This batch's write and read steps, recording into ``columns``."""
+
+    def _finish_batch(self) -> None:
+        """Write back any state the steps deferred to the end of the batch."""

@@ -7,7 +7,8 @@ module profiles the fast path without perturbing it:
 
 - a :class:`BatchProfiler` wraps the controller's ``service_batch`` as an
   **instance attribute** (the simulator dispatches through the instance;
-  the fused kernels' class-identity bail checks never see the wrapper)
+  the fused-path eligibility check, which looks at the class, never sees
+  the wrapper)
   and brackets each batch call with ``time.perf_counter_ns``;
 - sim-time attribution inside each kernel comes from an attached
   :class:`~repro.obs.stages.StageAccumulator` (summary mode), which keeps
@@ -98,8 +99,8 @@ class BatchProfiler:
                 self.wall_ns_max = elapsed
             return outcome
 
-        # Shadow via the instance so the class-identity checks inside the
-        # fused kernels (and their super() chain) are untouched.
+        # Shadow via the instance so the class-level eligibility check and
+        # the super() call to the scalar reference are untouched.
         controller.service_batch = timed_service_batch  # type: ignore[method-assign]
         self._attached = True
         return self

@@ -1,12 +1,13 @@
-"""Batch-native per-stage latency accounting for the fused kernels.
+"""Batch-native per-stage latency accounting for the fused steps.
 
 Full tracing (:mod:`repro.obs.trace`) records one span per request per
-stage — that fidelity is why the fused ``service_batch`` kernels bail to
-the scalar loop the moment a tracer is attached.  This module is the
+stage — that fidelity is why fused controllers take their scalar
+reference the moment a tracer is attached.  This module is the
 *summary* mode that keeps them fused: a :class:`StageAccumulator` holds
 one fixed-bucket :class:`~repro.obs.metrics.Histogram` per pipeline
-stage (count / latency sum / min / max / bucket counts) and the kernels
-feed it with columnar per-batch flushes instead of per-request spans.
+stage (count / latency sum / min / max / bucket counts) and the fused
+steps feed it with columnar per-batch flushes instead of per-request
+spans.
 
 Design contract (mirrors :class:`~repro.obs.metrics.MetricsRegistry`
 and :class:`~repro.obs.timeline.TimelineCollector`):

@@ -5,7 +5,7 @@ re-derives its slice of the global seeded tenant stream, sizes a private
 NVM device from the tenants it actually carved space for, and drives the
 controller through the fused batch path with a summary-mode
 :class:`~repro.obs.stages.StageAccumulator` attached (full tracing would
-force the scalar loop).  Jobs are content-keyed :class:`JobSpec`\\ s, so
+force the scalar reference).  Jobs are content-keyed :class:`JobSpec`\\ s, so
 the runner's cache, memoisation, dedup and parallel transport all apply
 unchanged, and a sharded run with ``--parallel N`` is bit-identical to
 the same plan executed serially.
@@ -93,7 +93,7 @@ def run_shard_job(params: dict[str, Any]) -> dict[str, Any]:
     Everything is re-derived from the seeded params: the shard map routes
     tenants, the registry carves address windows in first-appearance
     order, the synthesizer walks the global access counter, and the
-    controller consumes the resulting batch through the fused kernels.
+    controller consumes the resulting batch through its fused steps.
     The NVM device is sized to the carved windows (with a geometry floor)
     so address space scales with the tenants this shard actually admits,
     not with the nominal million-tenant population.
@@ -138,7 +138,13 @@ def run_shard_job(params: dict[str, Any]) -> dict[str, Any]:
         str(params["controller"]), nvm, stages=stages, **params["controller_opts"]
     )
     trace = Trace.from_batch(f"serve/shard-{shard:03d}", stream.batch)
+    before = _fallback_counts()
     report = simulate(controller, trace)
+    fallbacks = {
+        name: value - before.get(name, 0.0)
+        for name, value in _fallback_counts().items()
+        if value != before.get(name, 0.0)
+    }
 
     metrics = metrics_registry()
     metrics.counter(f"serve.shard.{shard}.tenants").inc(registry.tenants_registered)
@@ -157,6 +163,7 @@ def run_shard_job(params: dict[str, Any]) -> dict[str, Any]:
         "bank_wait_total_ns": float(sum(b.total_wait_ns for b in nvm.banks)),
         "bank_serviced": int(sum(b.serviced_requests for b in nvm.banks)),
         "simulations": 1,
+        "fallbacks": fallbacks,
     }
 
 
@@ -174,14 +181,26 @@ class ServiceRun:
     leases: LeaseTable
 
 
-def _gather_fallbacks() -> dict[str, float]:
-    """Any ``batch.fallback.*`` counters the run accumulated (ideally none)."""
-    snapshot = metrics_registry().to_dict()
+def _fallback_counts() -> dict[str, float]:
+    """This process's ``batch.fallback.*`` counters."""
     return {
         name: float(entry["value"])
-        for name, entry in sorted(snapshot.items())
+        for name, entry in metrics_registry().to_dict().items()
         if name.startswith("batch.fallback.")
     }
+
+
+def _gather_fallbacks(payloads: list[dict[str, Any]]) -> dict[str, float]:
+    """The ``batch.fallback.*`` counts of these shard jobs (ideally none).
+
+    Each job counts its own simulation's fallbacks into its payload, so the
+    sum is this run's alone, whatever else the process ran before it.
+    """
+    totals: dict[str, float] = {}
+    for payload in payloads:
+        for name, value in payload.get("fallbacks", {}).items():
+            totals[name] = totals.get(name, 0.0) + float(value)
+    return dict(sorted(totals.items()))
 
 
 def run_service(
@@ -266,6 +285,6 @@ def run_service(
         merged=merged,
         stages=stages,
         shards=summaries,
-        fallbacks=_gather_fallbacks(),
+        fallbacks=_gather_fallbacks(payloads),
     )
     return ServiceRun(report=report, run=combined, leases=table)

@@ -16,16 +16,15 @@ Stall semantics (see :mod:`repro.system.cpu`):
 
 IPC is aggregate: total instructions / cycles of the longest-running core.
 
-Two execution paths produce byte-identical reports:
-
-- the **batched path** (default): the trace's columnar
-  :class:`~repro.workloads.batch.AccessBatch` is driven through the
-  controller's :meth:`~repro.core.interface.MemoryController.service_batch`
-  in ``batch_size``-request slices, letting controllers fuse crypto/hash
-  work across a burst;
-- the **scalar path** (``batch_size=None``): the original per-access loop,
-  kept as the executable reference semantics the equivalence property
-  tests compare against.
+The per-request loop itself is :func:`repro.core.batching.issue`.  The
+trace's columnar :class:`~repro.workloads.batch.AccessBatch` is driven
+through the controller's
+:meth:`~repro.core.interface.MemoryController.service_batch` in
+``batch_size``-request slices (fused controllers run their fused steps);
+``batch_size=None`` instead runs the whole trace through the scalar
+reference, :meth:`MemoryController.service_batch
+<repro.core.interface.MemoryController.service_batch>`, which drives the
+controller's own ``write``/``read``.  Both produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ class SystemSimulator:
         batch_size: int | None = DEFAULT_BATCH_SIZE,
     ) -> None:
         """``batch_size`` caps the requests per ``service_batch`` call;
-        ``None`` selects the scalar reference loop."""
+        ``None`` runs the trace through the scalar reference instead."""
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be positive (or None for scalar)")
         self.controller = controller
@@ -60,13 +59,6 @@ class SystemSimulator:
 
     def run(self) -> SimulationReport:
         """Execute the whole trace; returns the aggregated report."""
-        if self.batch_size is not None:
-            return self._run_batched()
-        return self._run_scalar()
-
-    # -- batched path (default) -------------------------------------------------
-
-    def _run_batched(self) -> SimulationReport:
         cfg = self.core_config
         batch = self.trace.as_batch()
         cursor = BatchCursor(
@@ -79,6 +71,11 @@ class SystemSimulator:
         controller = self.controller
         size = self.batch_size
         tracer = controller.tracer
+        if size is None:
+            # The scalar reference services the whole trace in one call,
+            # even for controllers with fused steps; the loop below then
+            # finds the cursor done.
+            MemoryController.service_batch(controller, batch, cursor)
         while not cursor.done:
             start_ns = cursor.makespan_ns()
             outcome = controller.service_batch(batch, cursor, max_requests=size)
@@ -101,56 +98,6 @@ class SystemSimulator:
             cursor.stall_cycles,
             cursor.makespan_ns(),
         )
-
-    # -- scalar path (reference semantics) --------------------------------------
-
-    def _run_scalar(self) -> SimulationReport:
-        cfg = self.core_config
-        ns_per_instruction = cfg.ns_per_instruction
-
-        # Split the trace into per-core streams, preserving order.
-        streams: dict[int, list] = {}
-        for access in self.trace:
-            streams.setdefault(access.core, []).append(access)
-        cursors = {core: 0 for core in streams}
-        core_time = {core: 0.0 for core in streams}
-
-        instructions = 0
-        stall_cycles = 0.0
-        compute_cycles = 0.0
-
-        def next_arrival(core: int) -> float:
-            access = streams[core][cursors[core]]
-            return core_time[core] + access.gap_instructions * ns_per_instruction
-
-        active = {core for core, stream in streams.items() if stream}
-        while active:
-            # Issue the globally earliest request.
-            core = min(active, key=next_arrival)
-            access = streams[core][cursors[core]]
-            arrival = next_arrival(core)
-            instructions += access.gap_instructions
-            compute_cycles += access.gap_instructions * cfg.base_cpi
-
-            if access.op == "read":
-                outcome = self.controller.read(access.address, arrival)
-                exposed = outcome.latency_ns * cfg.read_stall_exposure
-                core_time[core] = arrival + exposed
-                stall_cycles += cfg.cycles(exposed)
-            else:
-                outcome = self.controller.write(access.address, access.data, arrival)
-                if access.persistent:
-                    core_time[core] = outcome.complete_ns
-                    stall_cycles += cfg.cycles(outcome.latency_ns)
-                else:
-                    core_time[core] = arrival
-
-            cursors[core] += 1
-            if cursors[core] >= len(streams[core]):
-                active.discard(core)
-
-        makespan = max(core_time.values(), default=0.0)
-        return self._report(instructions, compute_cycles, stall_cycles, makespan)
 
     # -- shared report assembly --------------------------------------------------
 

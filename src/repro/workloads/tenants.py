@@ -21,9 +21,10 @@ load-bearing:
   service reports is a *controlled variable* of the experiment, not an
   accident of the generator.
 
-- **Fused-path shape.**  Every access issues from core 0: the batched
-  kernels bail to the scalar loop on multi-stream cursors, and a serve
-  shard must stay on the fused path (zero ``batch.fallback.*``).
+- **Single-stream shape.**  Every access issues from core 0, so a shard
+  replays one arrival-ordered stream with no think-time interleaving
+  between cores; core ids are part of every report's timing, so this
+  shape is part of the serve output's identity.
 
 Tenant popularity is zipfian via the continuous inverse-CDF
 approximation (rank ``~ u^(-1/(s-1))`` shape), the standard choice when

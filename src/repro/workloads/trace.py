@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -67,20 +66,6 @@ class Trace:
     def reads(self) -> list[MemoryAccess]:
         """Read accesses only, in order."""
         return [a for a in self.accesses if a.op == "read"]
-
-    def write_pairs(self) -> list[tuple[int, bytes]]:
-        """Deprecated: use ``as_batch().write_pairs()``.
-
-        Kept as a thin wrapper over the columnar batch so old callers keep
-        working; the batch path avoids re-touching one ``MemoryAccess``
-        object per write.
-        """
-        warnings.warn(
-            "Trace.write_pairs() is deprecated; use Trace.as_batch().write_pairs()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return list(self.as_batch().write_pairs())
 
     def as_batch(self) -> AccessBatch:
         """Columnar view of this trace (cached after the first call).

@@ -128,15 +128,15 @@ class TestRenderDashboard:
             "snapshot",
             done=1, failed=0, in_flight=0, total=2,
             metrics={
-                "batch.fallback.multi_stream": {"kind": "counter", "value": 3.0},
+                "batch.fallback.timeline": {"kind": "counter", "value": 3.0},
                 "batch.fallback.tracer": {"kind": "counter", "value": 0.0},
                 "simulations": {"kind": "counter", "value": 2.0},
             },
         )
         model = _fold(seen)
-        assert model.fallback_counters() == {"multi_stream": 3.0}
+        assert model.fallback_counters() == {"timeline": 3.0}
         frame = render_dashboard(model)
-        assert "FALLBACKS: multi_stream=3" in frame
+        assert "FALLBACKS: timeline=3" in frame
         assert "tracer" not in frame  # zero counters stay quiet
 
     def test_clean_run_renders_no_fallback_warning(self):

@@ -144,9 +144,9 @@ class TestServiceReport:
             merged=service_report.merged,
             stages=service_report.stages,
             shards=service_report.shards,
-            fallbacks={"batch.fallback.multi_stream": 3.0},
+            fallbacks={"batch.fallback.timeline": 3.0},
         )
-        assert "FALLBACKS: multi_stream=3" in degraded.render()
+        assert "FALLBACKS: timeline=3" in degraded.render()
 
     def test_latency_quantiles_are_monotone(self, service_report):
         p50 = service_report.latency_quantile_ns("write", 50)

@@ -154,3 +154,25 @@ class TestRunService:
         snapshot = registry().to_dict()
         for shard in range(CONFIG.shards):
             assert f"serve.shard.{shard}.admitted" in snapshot
+
+    def test_fallbacks_count_only_this_runs_shards(self):
+        # A fallback from unrelated work earlier in the process must not
+        # leak into a later service report.
+        import json
+
+        from repro.core.registry import build_controller
+        from repro.nvm.memory import NvmMainMemory
+        from repro.obs.trace import Tracer
+        from repro.system.simulator import simulate
+        from repro.workloads.generator import generate_trace
+        from repro.workloads.profiles import profile_by_name
+
+        first = run_service(CONFIG).report
+        traced = build_controller("dewrite", NvmMainMemory(), tracer=Tracer(sink=None))
+        simulate(traced, generate_trace(profile_by_name("canneal"), 200, seed=3))
+        provider.reset()  # re-execute the shard jobs, not just re-read them
+        second = run_service(CONFIG).report
+        assert second.fallbacks == {}
+        assert json.dumps(second.to_dict(), sort_keys=True) == json.dumps(
+            first.to_dict(), sort_keys=True
+        )

@@ -2,8 +2,8 @@
 
 Every registered controller must produce a byte-identical
 :class:`~repro.system.metrics.SimulationReport` whether a trace is driven
-through the scalar ``write()``/``read()`` loop or through
-``service_batch`` (at any batch size).  The fused kernels replicate the
+through the scalar reference (``write()``/``read()``) or through its fused
+steps (``service_batch`` at any batch size).  The steps replicate the
 scalar float operation order exactly, so the comparison is on the full
 serialised report — latencies, energy, wear, IPC — not on rounded values.
 """
@@ -17,6 +17,8 @@ import pytest
 from repro.core.registry import available_controllers, build_controller
 from repro.nvm.config import NvmConfig, NvmOrganization
 from repro.nvm.memory import NvmMainMemory
+from repro.obs.metrics import registry
+from repro.obs.trace import Tracer
 from repro.system.simulator import simulate
 from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import profile_by_name
@@ -49,6 +51,14 @@ def assert_equivalent(
         assert batched == scalar, f"{name} batch_size={size} diverges from scalar"
 
 
+def fallback_counts() -> dict[str, float]:
+    return {
+        name: registry().get(name).value
+        for name in registry().names()
+        if name.startswith("batch.fallback.")
+    }
+
+
 def wr(address, core=0, gap=10, persistent=False, fill=1):
     return MemoryAccess(
         core=core,
@@ -69,7 +79,7 @@ class TestRandomTraces:
 
     @pytest.mark.parametrize("name", CONTROLLERS)
     def test_single_core_trace(self, name):
-        # lbm is single-threaded, so the fused single-stream kernels engage.
+        # lbm is single-threaded: the issue loop's single-stream fast path.
         trace = generate_trace(profile_by_name("lbm"), 600, seed=3)
         assert_equivalent(name, trace)
 
@@ -101,9 +111,57 @@ class TestEdgeCases:
         assert_equivalent(name, Trace("conflict", accesses), batch_sizes=(1, 16, 1024))
 
     @pytest.mark.parametrize("name", CONTROLLERS)
-    def test_multi_core_trace_falls_back(self, name):
-        # canneal runs 4 threads; the fused kernels only handle one active
-        # stream, so this exercises the generic scalar-driving fallback.
+    def test_multi_core_trace_stays_fused(self, name):
+        # canneal runs 4 threads: the shared issue loop merges the streams
+        # by arrival for the fused steps exactly as for the scalar reference.
         trace = generate_trace(profile_by_name("canneal"), 400, seed=7)
         assert trace.threads > 1
-        assert_equivalent(name, trace, batch_sizes=(1, 64), lines=256 * 1024)
+        before = fallback_counts()
+        assert_equivalent(name, trace, batch_sizes=(1, 64, 1024), lines=256 * 1024)
+        assert fallback_counts() == before
+
+    @pytest.mark.parametrize("name", CONTROLLERS)
+    def test_multi_core_trace_falls_back(self, name):
+        # A tracer sends a multi-stream run to the scalar reference; the
+        # report must still be the untraced fused run's, byte for byte.
+        trace = generate_trace(profile_by_name("canneal"), 400, seed=7)
+        fused = canonical(simulate(build_controller(name, make_nvm(256 * 1024)), trace))
+        before = fallback_counts()
+        traced = build_controller(name, make_nvm(256 * 1024), tracer=Tracer(sink=None))
+        assert canonical(simulate(traced, trace, batch_size=64)) == fused
+        after = fallback_counts()
+        assert after.get("batch.fallback.tracer", 0.0) > before.get("batch.fallback.tracer", 0.0)
+
+
+SPLIT_COUNTERS = {"use_split_counters": True, "minor_counter_bits": 2, "lines_per_page": 4}
+
+
+class TestRarePaths:
+    """Paths the default configurations never reach at test scale."""
+
+    @pytest.mark.parametrize(
+        ("name", "opts", "counter"),
+        [
+            # 2-bit minor counters overflow every 4 writes to a 4-line page.
+            ("secure-nvm", SPLIT_COUNTERS, "page_reencryptions"),
+            ("silent-shredder", SPLIT_COUNTERS, "page_reencryptions"),
+            # An 8-line hot set evicts (cold re-encryption) constantly.
+            ("i-nvmm", {"hot_set_lines": 8}, "cold_encryptions"),
+            # A background page scan every 8 writes.
+            ("out-of-line", {"scan_interval_writes": 8}, "scans"),
+        ],
+    )
+    def test_equivalent_under_constrained_config(self, name, opts, counter):
+        accesses = []
+        for i in range(160):
+            fill = 0 if i % 7 == 0 else i % 5 + 1
+            accesses.append(wr(i * 5 % 24, persistent=i % 3 == 0, fill=fill))
+            accesses.append(rd(i * 3 % 28))
+        trace = Trace("constrained", accesses)
+        reference = build_controller(name, make_nvm(), **opts)
+        scalar = canonical(simulate(reference, trace, batch_size=None))
+        assert getattr(reference, counter) > 0, f"{counter} never fired"
+        for size in (1, 64):
+            fused = build_controller(name, make_nvm(), **opts)
+            assert canonical(simulate(fused, trace, batch_size=size)) == scalar
+            assert getattr(fused, counter) == getattr(reference, counter)
