@@ -16,7 +16,7 @@ Run:  python examples/stolen_dimm_audit.py
 
 from __future__ import annotations
 
-from repro import DeWriteController, NvmMainMemory
+from repro import DeWriteController, NvmMainMemory, ReadOutcome, WriteOutcome
 from repro.baselines import INvmmController, TraditionalSecureNvmController
 
 LINE = 256
@@ -29,11 +29,13 @@ class UnencryptedNvmController:
     def __init__(self, nvm: NvmMainMemory) -> None:
         self.nvm = nvm
 
-    def write(self, address: int, data: bytes, arrival_ns: float):
-        return self.nvm.write(address, data, arrival_ns)
+    def write(self, address: int, data: bytes, arrival_ns: float) -> WriteOutcome:
+        complete = self.nvm.write(address, data, arrival_ns)
+        return WriteOutcome(complete - arrival_ns, False, complete)
 
-    def read(self, address: int, arrival_ns: float):
-        return self.nvm.read(address, arrival_ns)
+    def read(self, address: int, arrival_ns: float) -> ReadOutcome:
+        complete = self.nvm.read(address, arrival_ns)
+        return ReadOutcome(complete - arrival_ns, self.nvm.peek(address), complete)
 
 
 def dump_device(nvm: NvmMainMemory, lines: int = 64) -> bytes:

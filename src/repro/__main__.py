@@ -22,8 +22,7 @@ Subcommands:
   (or a ledger file) with step-regression flags and stage-drift
   attribution;
 - ``profile``  — run one figure's pipeline with the summary-mode stage
-  accumulator and the batch profiler attached: the fused kernels stay
-  active (full tracing forces the scalar path), the stage table is
+  accumulator and the batch profiler attached: the stage table is
   deterministic, and ``--flamegraph`` writes collapsed-stack lines with
   sim-ns weights; ``--manifest`` records the stage section for ``diff``;
 - ``stats``    — validate and summarise a run manifest (``--json`` emits
@@ -970,8 +969,8 @@ def _run_stats(args: argparse.Namespace) -> int:
         )
     metrics = payload.get("metrics", {})
     if isinstance(metrics, dict):
-        # Fused controllers take the scalar reference under full tracing,
-        # timelines or overridden write/read; surface the why.
+        # Fused controllers leave their steps only when a subclass
+        # overrides write/read; surface the why.
         fallbacks = {
             name: entry.get("value", 0)
             for name, entry in sorted(metrics.items())

@@ -20,7 +20,6 @@ from collections import OrderedDict
 
 from repro.baselines.secure_nvm import SecureNvmConfig, TraditionalSecureNvmController
 from repro.core.batching import BatchColumns, ReadStep, WriteStep
-from repro.core.interface import ReadOutcome, WriteOutcome
 from repro.crypto.counter_mode import CounterModeEngine
 from repro.nvm.memory import NvmMainMemory
 
@@ -58,87 +57,32 @@ class INvmmController(TraditionalSecureNvmController):
         """A line went cold: encrypt it in place (background RMW)."""
         if address not in self._written:
             return
-        stored = self.nvm.read(address, now_ns)
+        read_done = self.nvm.read(address, now_ns)
         counter = self._counters.get(address, 0) + 1
         self._counters[address] = counter
-        ciphertext = self.cme.encrypt(stored.data, address, counter)
+        ciphertext = self.cme.encrypt(self.nvm.peek(address), address, counter)
         self.nvm.energy.add_aes_line()
-        self.nvm.write(address, ciphertext, stored.complete_ns)
+        self.nvm.write(address, ciphertext, read_done)
         self.cold_encryptions += 1
 
-    def _is_hot(self, address: int) -> bool:
-        return address in self._hot
-
-    # -- request interface ---------------------------------------------------
-
-    def write(self, address: int, data: bytes, arrival_ns: float) -> WriteOutcome:
-        """Hot writes go to the array in plaintext, skipping AES."""
-        self._check_line(data)
-        self._check_data_address(address)
-        self._touch_hot(address, arrival_ns)
-
-        self.stats.writes_requested += 1
-        self.stats.writes_stored += 1
-        self.plaintext_bus_transfers += 1
-        now = arrival_ns + self._access_counter(address, write=True, now_ns=arrival_ns)
-        written = self.nvm.write(address, data, now)  # plaintext, no AES
-        self._written.add(address)
-        # Invalidate any stale counter so a later cold read is impossible
-        # to confuse with ciphertext: hot lines are marked counter-less.
-        self._counters.pop(address, None)
-        latency = written.complete_ns - arrival_ns
-        self.stats.write_latency.add(latency)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.span("write.nvm", now, written.complete_ns, encrypted=False)
-            tracer.span("write", arrival_ns, written.complete_ns, deduplicated=False)
-        stages = self.stages
-        if stages.enabled:
-            stages.record("write.nvm", written.complete_ns - now)
-            stages.record("write", written.complete_ns - arrival_ns)
-        return WriteOutcome(
-            latency_ns=latency, deduplicated=False, complete_ns=written.complete_ns
-        )
-
-    def read(self, address: int, arrival_ns: float) -> ReadOutcome:
-        """Hot reads skip decryption (the data is plaintext at rest)."""
-        if not self._is_hot(address):
-            outcome = super().read(address, arrival_ns)
-            # A cold read warms the line per i-NVMM's access tracking, but
-            # the stored copy stays encrypted until it is rewritten.
-            return outcome
-
-        self._check_data_address(address)
-        self.stats.reads_requested += 1
-        self.plaintext_bus_transfers += 1
-        now = arrival_ns + self._access_counter(address, write=False, now_ns=arrival_ns)
-        read = self.nvm.read(address, now)
-        self._hot.move_to_end(address)
-        latency = read.complete_ns - arrival_ns
-        self.stats.read_latency.add(latency)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.span("read.metadata", arrival_ns, now, redirected=False)
-            tracer.span("read.nvm", now, read.complete_ns)
-            tracer.span("read", arrival_ns, read.complete_ns, hot=True)
-        stages = self.stages
-        if stages.enabled:
-            stages.record("read.metadata", now - arrival_ns)
-            stages.record("read.nvm", read.complete_ns - now)
-            stages.record("read", read.complete_ns - arrival_ns)
-        return ReadOutcome(latency_ns=latency, data=read.data, complete_ns=read.complete_ns)
+    # -- request semantics ---------------------------------------------------
 
     def _batch_steps(self, columns: BatchColumns) -> tuple[WriteStep, ReadStep]:
-        """Plaintext hot-set steps; cold reads take the parent's CME read step."""
+        """Plaintext hot-set steps; cold reads take the parent's CME read step.
+
+        Writes make their line hot and go to the array in plaintext,
+        skipping AES; hot reads skip decryption (the data is plaintext at
+        rest).  A cold read warms nothing: the stored copy stays encrypted
+        until it is rewritten.
+        """
         _, cold_read = super()._batch_steps(columns)
         stats = self.stats
         counters = self._counters
         written = self._written
         hot = self._hot
         touch_hot = self._touch_hot
-        is_hot = self._is_hot
-        nvm_write_done = self.nvm.write_complete_ns
-        nvm_read_done = self.nvm.read_complete_ns
+        nvm_write = self.nvm.write
+        nvm_read = self.nvm.read
         touch = self._counter_touch()
         line_size = self.line_size
         data_lines = self.data_lines
@@ -148,8 +92,12 @@ class INvmmController(TraditionalSecureNvmController):
         st_wnvm = columns.stage("write.nvm")
         st_rmeta = columns.stage("read.metadata")
         st_rnvm = columns.stage("read.nvm")
+        tracer = self.tracer
+        trace_on = tracer.enabled
+        timeline = self.timeline
+        timeline_on = timeline.enabled
 
-        def write(address: int, line: bytes, arrival: float) -> tuple[float, bool, float]:
+        def write_step(address: int, line: bytes, arrival: float) -> tuple[float, bool, float]:
             if len(line) != line_size:
                 self._check_line(line)
             if not 0 <= address < data_lines:
@@ -159,33 +107,51 @@ class INvmmController(TraditionalSecureNvmController):
             stats.writes_stored += 1
             self.plaintext_bus_transfers += 1
             now = arrival + touch(address, True, arrival)
-            complete = nvm_write_done(address, line, now)  # plaintext, no AES
+            complete = nvm_write(address, line, now)  # plaintext, no AES
             written.add(address)
+            # Invalidate any stale counter so a later cold read is impossible
+            # to confuse with ciphertext: hot lines are marked counter-less.
             counters.pop(address, None)
             if stage_on:
                 st_wnvm.append(complete - now)
             latency = complete - arrival
             write_latency(latency)
+            if timeline_on:
+                timeline.record_write(arrival, deduplicated=False, latency_ns=latency)
+            if trace_on:
+                tracer.span("write.nvm", now, complete, encrypted=False)
+                tracer.span("write", arrival, complete, deduplicated=False)
             return latency, False, complete
 
-        def read(address: int, arrival: float) -> float:
-            if not is_hot(address):
+        def read_step(address: int, arrival: float) -> tuple[float, float]:
+            if address not in hot:
                 return cold_read(address, arrival)
             if not 0 <= address < data_lines:
                 self._check_data_address(address)
             stats.reads_requested += 1
             self.plaintext_bus_transfers += 1
             now = arrival + touch(address, False, arrival)
-            complete = nvm_read_done(address, now)
+            complete = nvm_read(address, now)
             hot.move_to_end(address)
             if stage_on:
                 st_rmeta.append(now - arrival)
                 st_rnvm.append(complete - now)
             latency = complete - arrival
             read_latency(latency)
-            return latency
+            if timeline_on:
+                timeline.record_read(arrival, latency_ns=latency)
+            if trace_on:
+                tracer.span("read.metadata", arrival, now, redirected=False)
+                tracer.span("read.nvm", now, complete)
+                tracer.span("read", arrival, complete, hot=True)
+            return latency, complete
 
-        return write, read
+        return write_step, read_step
+
+    def _plaintext(self, address: int) -> bytes:
+        if address in self._hot:
+            return self.nvm.peek(address)
+        return super()._plaintext(address)
 
     def shutdown(self, now_ns: float) -> int:
         """Encrypt every remaining hot line (the power-down sweep)."""

@@ -23,7 +23,6 @@ from collections import defaultdict
 
 from repro.baselines.secure_nvm import SecureNvmConfig, TraditionalSecureNvmController
 from repro.core.batching import BatchColumns, ReadStep, WriteStep
-from repro.core.interface import WriteOutcome
 from repro.crypto.counter_mode import CounterModeEngine
 from repro.nvm.memory import NvmMainMemory
 
@@ -57,23 +56,20 @@ class OutOfLinePageDedupController(TraditionalSecureNvmController):
         # the scanner only rebuilds pages dirtied since the last scan.
         self._page_fp: dict[int, tuple[bytes, ...]] = {}
 
-    def write(self, address: int, data: bytes, arrival_ns: float) -> WriteOutcome:
-        """Every write reaches the array first; dedup happens later."""
-        outcome = super().write(address, data, arrival_ns)
-        self._after_write(address, data, outcome.complete_ns)
-        return outcome
-
     def _batch_steps(self, columns: BatchColumns) -> tuple[WriteStep, ReadStep]:
-        """The parent's steps with the page bookkeeping after each write, as in :meth:`write`."""
-        cme_write, read = super()._batch_steps(columns)
+        """The parent's steps with the page bookkeeping after each write.
+
+        Every write reaches the array first; dedup happens later.
+        """
+        cme_write, read_step = super()._batch_steps(columns)
         after_write = self._after_write
 
-        def write(address: int, line: bytes, arrival: float) -> tuple[float, bool, float]:
+        def write_step(address: int, line: bytes, arrival: float) -> tuple[float, bool, float]:
             outcome = cme_write(address, line, arrival)
             after_write(address, line, outcome[2])
             return outcome
 
-        return write, read
+        return write_step, read_step
 
     def _after_write(self, address: int, data: bytes, complete_ns: float) -> None:
         """Post-write bookkeeping: logical image, dirty page, scan trigger."""

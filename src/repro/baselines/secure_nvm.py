@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.batching import BatchColumns, ReadStep, WriteStep
-from repro.core.interface import FusedController, ReadOutcome, WriteOutcome
+from repro.core.interface import FusedController
 from repro.core.metadata_cache import MetadataCache
 from repro.core.stats import DeWriteStats
 from repro.crypto.counter_mode import CounterModeEngine
@@ -86,112 +86,17 @@ class TraditionalSecureNvmController(FusedController):
         self._payloads = SplitmixPadGenerator(b"\x3c" * 16)
         self._payload_version = 0
 
-    # -- request interface ---------------------------------------------------
-
-    def write(self, address: int, data: bytes, arrival_ns: float) -> WriteOutcome:
-        """Encrypt under the bumped counter and write through the bank."""
-        self._check_line(data)
-        self._check_data_address(address)
-        self.stats.writes_requested += 1
-        self.stats.writes_stored += 1
-
-        now = arrival_ns + self._access_counter(address, write=True, now_ns=arrival_ns)
-        if self._split is not None:
-            counter, overflow = self._split.advance(address)
-        else:
-            counter = self._counters.get(address, 0) + 1
-            self._counters[address] = counter
-            overflow = None
-        ciphertext = self.cme.encrypt(data, address, counter)
-        self.nvm.energy.add_aes_line()
-
-        issue = now + self.config.aes_latency_ns
-        written = self.nvm.write(address, ciphertext, issue)
-        self._written.add(address)
-        if overflow is not None:
-            self._reencrypt_page(overflow, address, written.complete_ns)
-        latency = written.complete_ns - arrival_ns
-        self.stats.write_latency.add(latency)
-        if self.timeline.enabled:
-            self.timeline.record_write(arrival_ns, deduplicated=False, latency_ns=latency)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.span("write.crypto", now, issue)
-            tracer.span("write.nvm", issue, written.complete_ns, wait_ns=written.wait_ns)
-            tracer.span("write", arrival_ns, written.complete_ns, deduplicated=False)
-        stages = self.stages
-        if stages.enabled:
-            stages.record("write.crypto", issue - now)
-            stages.record("write.nvm", written.complete_ns - issue)
-            stages.record("write", written.complete_ns - arrival_ns)
-        return WriteOutcome(
-            latency_ns=latency, deduplicated=False, complete_ns=written.complete_ns
-        )
-
-    def _reencrypt_page(self, overflow, triggering_line: int, now_ns: float) -> None:
-        """Service a minor-counter overflow: re-encrypt the whole page
-        under the bumped major counter (posted; the triggering write has
-        already gone out under the new counter)."""
-        self.page_reencryptions += 1
-        for member in overflow.lines:
-            if member == triggering_line or member not in self._written:
-                continue
-            stored = self.nvm.read(member, now_ns)
-            plaintext = self.cme.decrypt(stored.data, member, overflow.old_counters[member])
-            fresh = self.cme.encrypt(plaintext, member, self._split.counter_of(member))
-            self.nvm.energy.add_aes_line()
-            self.nvm.write(member, fresh, stored.complete_ns)
-            self.reencrypted_lines += 1
-            now_ns = stored.complete_ns
-
-    def read(self, address: int, arrival_ns: float) -> ReadOutcome:
-        """Fetch counter, read the array with the OTP overlapped, XOR."""
-        self._check_data_address(address)
-        self.stats.reads_requested += 1
-        now = arrival_ns + self._access_counter(address, write=False, now_ns=arrival_ns)
-
-        if self._split is not None:
-            counter = self._split.counter_of(address) if address in self._written else None
-        else:
-            counter = self._counters.get(address)
-        issue = now
-        if counter is None:
-            read = self.nvm.read(address, now)
-            now = read.complete_ns + self.config.xor_latency_ns
-            data = bytes(self.line_size)
-        else:
-            read = self.nvm.read(address, now)
-            self.nvm.energy.add_aes_line()  # OTP generation for decryption
-            now = read.complete_ns + self.config.xor_latency_ns
-            data = self.cme.decrypt(read.data, address, counter)
-
-        latency = now - arrival_ns
-        self.stats.read_latency.add(latency)
-        if self.timeline.enabled:
-            self.timeline.record_read(arrival_ns, latency_ns=latency)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.span("read.metadata", arrival_ns, issue, redirected=False)
-            tracer.span("read.nvm", issue, read.complete_ns, wait_ns=read.wait_ns)
-            tracer.span("read.crypto", read.complete_ns, now, decrypted=counter is not None)
-            tracer.span("read", arrival_ns, now, redirected=False)
-        stages = self.stages
-        if stages.enabled:
-            stages.record("read.metadata", issue - arrival_ns)
-            stages.record("read.nvm", read.complete_ns - issue)
-            stages.record("read.crypto", now - read.complete_ns)
-            stages.record("read", now - arrival_ns)
-        return ReadOutcome(latency_ns=latency, data=data, complete_ns=now)
-
-    # -- batched request interface -------------------------------------------
+    # -- request semantics ---------------------------------------------------
 
     def _batch_steps(self, columns: BatchColumns) -> tuple[WriteStep, ReadStep]:
-        """:meth:`write` / :meth:`read` as fused steps (byte-identical effects).
+        """Counter-mode write and read as fused steps.
 
-        Counters go straight to the stats object, latencies and stage
-        samples to ``columns``.  Reads skip the plaintext reconstruction,
-        which the issue loop would discard; metadata latency, array timing
-        and AES energy are charged as in :meth:`read`.
+        A write encrypts under the bumped counter and writes through the
+        bank; a read fetches the counter, reads the array with the OTP
+        overlapped and XORs.  Counters go straight to the stats object,
+        latencies and stage samples to ``columns``.  Reads skip the
+        plaintext reconstruction (:meth:`_plaintext` does it untimed);
+        metadata latency, array timing and AES energy are charged.
         """
         stats = self.stats
         counters = self._counters
@@ -199,8 +104,8 @@ class TraditionalSecureNvmController(FusedController):
         written = self._written
         encrypt = self.cme.encrypt
         add_aes_line = self.nvm.energy.add_aes_line
-        nvm_write_done = self.nvm.write_complete_ns
-        nvm_read_done = self.nvm.read_complete_ns
+        nvm_write = self.nvm.write
+        nvm_read = self.nvm.read
         touch = self._counter_touch()
         aes_ns = self.config.aes_latency_ns
         xor_ns = self.config.xor_latency_ns
@@ -214,8 +119,12 @@ class TraditionalSecureNvmController(FusedController):
         st_rmeta = columns.stage("read.metadata")
         st_rnvm = columns.stage("read.nvm")
         st_rcrypto = columns.stage("read.crypto")
+        tracer = self.tracer
+        trace_on = tracer.enabled
+        timeline = self.timeline
+        timeline_on = timeline.enabled
 
-        def write(address: int, line: bytes, arrival: float) -> tuple[float, bool, float]:
+        def write_step(address: int, line: bytes, arrival: float) -> tuple[float, bool, float]:
             if len(line) != line_size:
                 self._check_line(line)
             if not 0 <= address < data_lines:
@@ -232,7 +141,7 @@ class TraditionalSecureNvmController(FusedController):
             ciphertext = encrypt(line, address, counter)
             add_aes_line()
             issue = now + aes_ns
-            complete = nvm_write_done(address, ciphertext, issue)
+            complete = nvm_write(address, ciphertext, issue)
             written.add(address)
             if overflow is not None:
                 self._reencrypt_page(overflow, address, complete)
@@ -241,16 +150,23 @@ class TraditionalSecureNvmController(FusedController):
                 st_wnvm.append(complete - issue)
             latency = complete - arrival
             write_latency(latency)
+            if timeline_on:
+                timeline.record_write(arrival, deduplicated=False, latency_ns=latency)
+            if trace_on:
+                tracer.span("write.crypto", now, issue)
+                tracer.span("write.nvm", issue, complete)
+                tracer.span("write", arrival, complete, deduplicated=False)
             return latency, False, complete
 
-        def read(address: int, arrival: float) -> float:
+        def read_step(address: int, arrival: float) -> tuple[float, float]:
             if not 0 <= address < data_lines:
                 self._check_data_address(address)
             stats.reads_requested += 1
             issue = arrival + touch(address, False, arrival)
-            if (address in counters) if split is None else (address in written):
+            decrypted = (address in counters) if split is None else (address in written)
+            if decrypted:
                 add_aes_line()  # OTP generation for decryption
-            done = nvm_read_done(address, issue)
+            done = nvm_read(address, issue)
             now = done + xor_ns
             if stage_on:
                 st_rmeta.append(issue - arrival)
@@ -258,9 +174,42 @@ class TraditionalSecureNvmController(FusedController):
                 st_rcrypto.append(now - done)
             latency = now - arrival
             read_latency(latency)
-            return latency
+            if timeline_on:
+                timeline.record_read(arrival, latency_ns=latency)
+            if trace_on:
+                tracer.span("read.metadata", arrival, issue, redirected=False)
+                tracer.span("read.nvm", issue, done)
+                tracer.span("read.crypto", done, now, decrypted=decrypted)
+                tracer.span("read", arrival, now, redirected=False)
+            return latency, now
 
-        return write, read
+        return write_step, read_step
+
+    def _plaintext(self, address: int) -> bytes:
+        if self._split is not None:
+            counter = self._split.counter_of(address) if address in self._written else None
+        else:
+            counter = self._counters.get(address)
+        if counter is None:
+            return bytes(self.line_size)
+        return self.cme.decrypt(self.nvm.peek(address), address, counter)
+
+    def _reencrypt_page(self, overflow, triggering_line: int, now_ns: float) -> None:
+        """Service a minor-counter overflow: re-encrypt the whole page
+        under the bumped major counter (posted; the triggering write has
+        already gone out under the new counter)."""
+        self.page_reencryptions += 1
+        for member in overflow.lines:
+            if member == triggering_line or member not in self._written:
+                continue
+            read_done = self.nvm.read(member, now_ns)
+            stored = self.nvm.peek(member)
+            plaintext = self.cme.decrypt(stored, member, overflow.old_counters[member])
+            fresh = self.cme.encrypt(plaintext, member, self._split.counter_of(member))
+            self.nvm.energy.add_aes_line()
+            self.nvm.write(member, fresh, read_done)
+            self.reencrypted_lines += 1
+            now_ns = read_done
 
     # -- counter-cache plumbing ---------------------------------------------
 
@@ -272,7 +221,7 @@ class TraditionalSecureNvmController(FusedController):
         extra = 0.0
         if not result.hit:
             line = self._counter_line_for(result.block)
-            fetched = self.nvm.read_complete_ns(line, now_ns)
+            fetched = self.nvm.read(line, now_ns)
             self.stats.metadata_reads += 1
             extra = (fetched - now_ns) + self.config.metadata_decrypt_ns
         if result.evicted_dirty_block is not None:
@@ -283,13 +232,15 @@ class TraditionalSecureNvmController(FusedController):
         """:meth:`_access_counter` for fused steps: resident blocks refresh inline.
 
         A hit has exactly :meth:`MetadataCache.access`'s effects (hit count,
-        LRU motion, dirty bit) without allocating its result; a miss takes
-        :meth:`_access_counter` itself.
+        LRU motion, dirty bit, the timeline's metadata record) without
+        allocating its result; a miss takes :meth:`_access_counter` itself.
         """
         cache = self.counter_cache
         blocks = cache._blocks
         per_block = cache.entries_per_block
         access_counter = self._access_counter
+        timeline = self.timeline
+        timeline_on = timeline.enabled
 
         def touch(address: int, write: bool, now_ns: float) -> float:
             block = address // per_block
@@ -298,6 +249,8 @@ class TraditionalSecureNvmController(FusedController):
                 blocks.move_to_end(block)
                 if write:
                     blocks[block] = True
+                if timeline_on:
+                    timeline.record_metadata(now_ns, hit=True)
                 return 0.0
             return access_counter(address, write, now_ns)
 

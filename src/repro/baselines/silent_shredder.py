@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from repro.baselines.secure_nvm import SecureNvmConfig, TraditionalSecureNvmController
 from repro.core.batching import BatchColumns, ReadStep, WriteStep
-from repro.core.interface import ReadOutcome, WriteOutcome
 from repro.crypto.counter_mode import CounterModeEngine
 from repro.nvm.memory import NvmMainMemory
 
@@ -36,59 +35,14 @@ class SilentShredderController(TraditionalSecureNvmController):
         self._zero_line = bytes(self.line_size)
         self._shredded: set[int] = set()
 
-    def write(self, address: int, data: bytes, arrival_ns: float) -> WriteOutcome:
-        """Cancel all-zero writes; pass everything else to the CME path."""
-        self._check_line(data)
-        if data != self._zero_line:
-            self._shredded.discard(address)
-            return super().write(address, data, arrival_ns)
-
-        self._check_data_address(address)
-        self.stats.writes_requested += 1
-        self.stats.writes_deduplicated += 1
-        self._shredded.add(address)
-        # The cancellation is a counter manipulation: one counter-cache
-        # write, no array access, no encryption.
-        extra = self._access_counter(address, write=True, now_ns=arrival_ns)
-        complete = arrival_ns + extra
-        latency = complete - arrival_ns
-        self.stats.write_latency.add(latency)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.span("write.meta", arrival_ns, complete, shredded=True)
-            tracer.span("write", arrival_ns, complete, deduplicated=True)
-        stages = self.stages
-        if stages.enabled:
-            stages.record("write.meta", complete - arrival_ns)
-            stages.record("write", complete - arrival_ns)
-        return WriteOutcome(latency_ns=latency, deduplicated=True, complete_ns=complete)
-
-    def read(self, address: int, arrival_ns: float) -> ReadOutcome:
-        """Serve shredded lines from the counter state, zero-fill, no array read."""
-        if address not in self._shredded:
-            return super().read(address, arrival_ns)
-
-        self._check_data_address(address)
-        self.stats.reads_requested += 1
-        extra = self._access_counter(address, write=False, now_ns=arrival_ns)
-        meta_done = arrival_ns + extra
-        complete = meta_done + self.config.xor_latency_ns
-        latency = complete - arrival_ns
-        self.stats.read_latency.add(latency)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.span("read.metadata", arrival_ns, meta_done, redirected=False)
-            tracer.span("read.crypto", meta_done, complete, decrypted=False)
-            tracer.span("read", arrival_ns, complete, shredded=True)
-        stages = self.stages
-        if stages.enabled:
-            stages.record("read.metadata", meta_done - arrival_ns)
-            stages.record("read.crypto", complete - meta_done)
-            stages.record("read", complete - arrival_ns)
-        return ReadOutcome(latency_ns=latency, data=self._zero_line, complete_ns=complete)
-
     def _batch_steps(self, columns: BatchColumns) -> tuple[WriteStep, ReadStep]:
-        """The parent's steps with the zero-line shortcut in front, as in :meth:`write` / :meth:`read`."""
+        """The parent's steps with the zero-line shortcut in front.
+
+        An all-zero write is cancelled by a counter manipulation: one
+        counter-cache write, no array access, no encryption.  A read of a
+        shredded line is served from the counter state, zero-filled, with
+        no array read.  Every other request takes the CME path.
+        """
         cme_write, cme_read = super()._batch_steps(columns)
         stats = self.stats
         shredded = self._shredded
@@ -102,8 +56,12 @@ class SilentShredderController(TraditionalSecureNvmController):
         st_wmeta = columns.stage("write.meta")
         st_rmeta = columns.stage("read.metadata")
         st_rcrypto = columns.stage("read.crypto")
+        tracer = self.tracer
+        trace_on = tracer.enabled
+        timeline = self.timeline
+        timeline_on = timeline.enabled
 
-        def write(address: int, line: bytes, arrival: float) -> tuple[float, bool, float]:
+        def write_step(address: int, line: bytes, arrival: float) -> tuple[float, bool, float]:
             if line != zero_line:
                 shredded.discard(address)
                 return cme_write(address, line, arrival)
@@ -117,9 +75,14 @@ class SilentShredderController(TraditionalSecureNvmController):
             if stage_on:
                 st_wmeta.append(latency)
             write_latency(latency)
+            if timeline_on:
+                timeline.record_write(arrival, deduplicated=True, latency_ns=latency)
+            if trace_on:
+                tracer.span("write.meta", arrival, complete, shredded=True)
+                tracer.span("write", arrival, complete, deduplicated=True)
             return latency, True, complete
 
-        def read(address: int, arrival: float) -> float:
+        def read_step(address: int, arrival: float) -> tuple[float, float]:
             if address not in shredded:
                 return cme_read(address, arrival)
             if not 0 <= address < data_lines:
@@ -132,9 +95,20 @@ class SilentShredderController(TraditionalSecureNvmController):
                 st_rcrypto.append(complete - meta_done)
             latency = complete - arrival
             read_latency(latency)
-            return latency
+            if timeline_on:
+                timeline.record_read(arrival, latency_ns=latency)
+            if trace_on:
+                tracer.span("read.metadata", arrival, meta_done, redirected=False)
+                tracer.span("read.crypto", meta_done, complete, decrypted=False)
+                tracer.span("read", arrival, complete, shredded=True)
+            return latency, complete
 
-        return write, read
+        return write_step, read_step
+
+    def _plaintext(self, address: int) -> bytes:
+        if address in self._shredded:
+            return self._zero_line
+        return super()._plaintext(address)
 
     @property
     def shredded_lines(self) -> int:

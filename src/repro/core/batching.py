@@ -11,16 +11,18 @@ single stream is active, and hands each request to a *step*:
 
 - ``write(address, line, arrival_ns) -> (latency_ns, deduplicated,
   complete_ns)`` — the shape of
-  :class:`~repro.core.interface.WriteOutcome`, so a controller's scalar
+  :class:`~repro.core.interface.WriteOutcome`, so a controller's
   ``write`` is a valid step;
-- ``read(address, arrival_ns) -> latency_ns``.
+- ``read(address, arrival_ns) -> (latency_ns, complete_ns)``.
 
-The scalar reference passes a controller's ``write``/``read`` (its read
-wrapped to return the latency) as the steps; fused controllers pass
-per-batch closures that bind the controller's internals once and keep
-latencies and stage samples columnar (:class:`BatchColumns`), folded back
-once per batch.  Either way the cursor advances through the same float
-operations, so reports are byte-identical whichever steps ran.
+Every registered controller passes its per-batch closures
+(``FusedController._batch_steps``), which bind the controller's internals
+once, keep latencies and stage samples columnar (:class:`BatchColumns`,
+folded back once per batch) and emit the per-request tracer spans and
+timeline records.  Wrappers that check or journal each request pass their
+own ``write``/``read`` instead (``MemoryController.service_batch``).
+Either way the cursor advances through the same float operations, so
+reports are byte-identical however a run is sliced into batches.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: ``(address, line, arrival_ns) -> (latency_ns, deduplicated, complete_ns)``.
 WriteStep = Callable[[int, bytes, float], tuple[float, bool, float]]
-#: ``(address, arrival_ns) -> latency_ns``.
-ReadStep = Callable[[int, float], float]
+#: ``(address, arrival_ns) -> (latency_ns, complete_ns)``.
+ReadStep = Callable[[int, float], tuple[float, float]]
 
 
 class BatchOutcome(NamedTuple):
@@ -124,8 +126,7 @@ class BatchColumns:
     Steps append each request's latency to :attr:`write_latency` /
     :attr:`read_latency` and, when :attr:`stages_on`, each stage duration
     to a :meth:`stage` lane.  :meth:`fold` adds them in request order,
-    which is bit-identical to the scalar path adding them one request at a
-    time.  A request's latency is also its ``write``/``read`` stage sample,
+    which is bit-identical to adding them one request at a time.  A request's latency is also its ``write``/``read`` stage sample,
     so those two stages need no lanes of their own.
     """
 
@@ -224,7 +225,7 @@ def issue(
                     else:
                         now = arrival
                 else:
-                    exposed = read(addresses[index], arrival) * exposure
+                    exposed = read(addresses[index], arrival)[0] * exposure
                     now = arrival + exposed
                     stall_cycles += exposed * clock
                     reads += 1
@@ -257,7 +258,7 @@ def issue(
             else:
                 core_time[core] = arrival
         else:
-            exposed = read(addresses[index], arrival) * exposure
+            exposed = read(addresses[index], arrival)[0] * exposure
             core_time[core] = arrival + exposed
             stall_cycles += exposed * clock
             reads += 1

@@ -99,15 +99,18 @@ class MetadataSystem:
         NVM — there is nothing to fetch.
         """
         cache = self.caches[table]
-        # Fast path: resident block, no timeline observer.  Mirrors the hit
-        # arm of MetadataCache.access (same statistics, same LRU motion,
-        # same persistence hook) without allocating a CacheAccess.
+        # Fast path: resident block.  Mirrors the hit arm of
+        # MetadataCache.access (same statistics, same LRU motion, same
+        # timeline record, same persistence hook) without allocating a
+        # CacheAccess.
         blocks = cache._blocks
         block = entry_index // cache.entries_per_block
-        if block in blocks and not self.timeline.enabled:
+        if block in blocks:
             if fetch_on_miss:
                 cache.hits += 1
             blocks.move_to_end(block)
+            if self.timeline.enabled:
+                self.timeline.record_metadata(now_ns, hit=True)
             if write:
                 blocks[block] = True
                 if self._persistence_active:
@@ -119,7 +122,7 @@ class MetadataSystem:
         extra = 0.0
         if not result.hit and fetch_on_miss:
             base, table_lines = self._line_map[table]
-            fetched = self.nvm.read_complete_ns(base + result.block % table_lines, now_ns)
+            fetched = self.nvm.read(base + result.block % table_lines, now_ns)
             self.metadata_reads += 1
             if blocking:
                 extra = (fetched - now_ns) + self.decrypt_ns
@@ -162,7 +165,8 @@ class MetadataSystem:
     def replay(self, touches: list[MetadataTouch], now_ns: float) -> None:
         """Post a batch of functional-update touches (non-blocking)."""
         caches = self.caches
-        timeline_off = not self.timeline.enabled
+        timeline = self.timeline
+        timeline_on = timeline.enabled
         persistence = self._persistence_active
         access = self.access
         for table, index, write, insert in touches:
@@ -172,10 +176,12 @@ class MetadataSystem:
             cache = caches[table]
             blocks = cache._blocks
             block = index // cache.entries_per_block
-            if timeline_off and block in blocks:
+            if block in blocks:
                 if not insert:
                     cache.hits += 1
                 blocks.move_to_end(block)
+                if timeline_on:
+                    timeline.record_metadata(now_ns, hit=True)
                 if write:
                     blocks[block] = True
                     if persistence:
@@ -240,11 +246,6 @@ class DetectionResult(NamedTuple):
     hash_hit_in_cache: bool = False
     queried_nvm_hash_table: bool = False
     touches: "list[MetadataTouch] | tuple[MetadataTouch, ...]" = ()
-
-    @property
-    def is_duplicate(self) -> bool:
-        """Whether a dedup target was confirmed."""
-        return self.duplicate_target is not None
 
 
 class DedupEngine:
@@ -349,7 +350,7 @@ class DedupEngine:
             if full_line:
                 plaintext_int = int.from_bytes(plaintext, "little")
             nvm = self.nvm
-            read_done = nvm.read_complete_ns
+            read_done = nvm.read
             peek_int = nvm.peek_int
             peek_counter = self.index.peek_counter
             pad_int_for = self.cme.pad_int_for

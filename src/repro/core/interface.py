@@ -10,15 +10,19 @@ Controllers are addressed either one request at a time (:meth:`write` /
 :meth:`read`) or a batch at a time (:meth:`service_batch`).  Both forms go
 through the one issue loop, :func:`repro.core.batching.issue`:
 
-- :meth:`MemoryController.service_batch` is the scalar reference: it
-  drives the controller's own ``write``/``read`` through that loop, so
-  every controller is batch-addressable without opting in;
-- :class:`FusedController` is the base of controllers that also define
-  per-batch *steps* (:meth:`FusedController._batch_steps`), which keep
-  counters and latencies columnar and skip per-request allocations.  Its
-  ``service_batch`` runs the steps whenever their effects are those of
-  ``write``/``read``, and otherwise falls back to the scalar reference,
-  counting why in ``batch.fallback.<reason>``.
+- :class:`FusedController` is the base of every registered controller.
+  Each defines its request semantics once, as per-batch *steps*
+  (:meth:`FusedController._batch_steps`): they keep counters and
+  latencies columnar, emit the tracer spans and timeline records
+  themselves, and are all that :meth:`FusedController.service_batch`
+  runs.  Its :meth:`~FusedController.write` / :meth:`~FusedController.read`
+  are batches of one through the same steps; a read's plaintext comes
+  from the controller's untimed :meth:`FusedController._plaintext`.
+- :meth:`MemoryController.service_batch` drives a controller's own
+  ``write``/``read`` through the loop.  Wrappers that check or journal
+  each request (``CheckedController``, ``CrashSimulator``) run this way,
+  and so does a fused controller whose subclass overrides ``write`` or
+  ``read`` (counted in ``batch.fallback.overridden_scalar``).
 """
 
 from __future__ import annotations
@@ -96,12 +100,10 @@ class MemoryController(abc.ABC):
         Subclasses with instrumented internals override
         :meth:`_propagate_observers` to forward the observers to them.
 
-        Observability modes and the batch path: attaching a *tracer* or
-        *timeline* records per-request detail, which sends fused
-        controllers to the scalar reference (counted in
-        ``batch.fallback.*``).  Attaching only a *stages* accumulator is
-        **summary mode** — the fused steps feed it with columnar
-        per-batch flushes and stay fused.
+        Every observer rides the fused steps: a *tracer* or *timeline*
+        receives per-request spans and records, a *stages* accumulator
+        (**summary mode**) receives columnar per-batch flushes, and none of
+        them sends a batch off the fused path.
         """
         if tracer is not None:
             self.tracer = tracer
@@ -116,7 +118,7 @@ class MemoryController(abc.ABC):
     def _propagate_observers(self, tracer: TracerLike, timeline: TimelineLike) -> None:
         """Hook for subclasses to hand the observers to internal components."""
 
-    # -- scalar request interface ----------------------------------------------
+    # -- request interface -----------------------------------------------------
 
     @abc.abstractmethod
     def write(self, address: int, data: bytes, arrival_ns: float) -> WriteOutcome:
@@ -136,14 +138,14 @@ class MemoryController(abc.ABC):
     ) -> BatchOutcome:
         """Service up to ``max_requests`` accesses of ``batch`` through ``cursor``.
 
-        The scalar reference: the shared issue loop drives :meth:`write` /
-        :meth:`read` themselves, so tracing, timelines and subclass
-        overrides all behave exactly as request-at-a-time servicing.
+        The shared issue loop drives :meth:`write` / :meth:`read`
+        themselves, so wrappers and overrides see every request.
         """
         read = self.read
 
-        def read_step(address: int, arrival_ns: float) -> float:
-            return read(address, arrival_ns).latency_ns
+        def read_step(address: int, arrival_ns: float) -> tuple[float, float]:
+            outcome = read(address, arrival_ns)
+            return outcome.latency_ns, outcome.complete_ns
 
         return issue(batch, cursor, self.write, read_step, max_requests)
 
@@ -155,17 +157,34 @@ class MemoryController(abc.ABC):
 
 
 class FusedController(MemoryController):
-    """A controller whose batches run through per-batch fused steps.
+    """A controller whose requests all run through its per-batch steps.
 
     Subclasses define :meth:`_batch_steps` (and, for state the steps defer,
-    :meth:`_finish_batch`); a subclass that extends a parent's scalar
-    ``write``/``read`` extends the parent's steps the same way, by wrapping
-    them.  The steps must have exactly the effects of ``write``/``read``
-    minus the per-request observers, which is what the scalar-vs-batched
-    equivalence and golden-digest suites check.
+    :meth:`_finish_batch`) and :meth:`_plaintext`; a subclass that extends
+    a parent's semantics wraps the parent's steps.  The steps are the only
+    statement of a request's effects: :meth:`service_batch` runs them over
+    a batch, :meth:`write` / :meth:`read` over one request.
     """
 
     stats: DeWriteStats
+
+    def write(self, address: int, data: bytes, arrival_ns: float) -> WriteOutcome:
+        """Service one line write: a batch of one through the write step."""
+        columns = BatchColumns(self.stages.enabled)
+        write, _ = self._batch_steps(columns)
+        latency, deduplicated, complete = write(address, data, arrival_ns)
+        self._finish_batch()
+        columns.fold(self.stats, self.stages)
+        return WriteOutcome(latency, deduplicated, complete)
+
+    def read(self, address: int, arrival_ns: float) -> ReadOutcome:
+        """Service one line read: a batch of one through the read step."""
+        columns = BatchColumns(self.stages.enabled)
+        _, read = self._batch_steps(columns)
+        latency, complete = read(address, arrival_ns)
+        self._finish_batch()
+        columns.fold(self.stats, self.stages)
+        return ReadOutcome(latency, self._plaintext(address), complete)
 
     def service_batch(
         self,
@@ -173,11 +192,17 @@ class FusedController(MemoryController):
         cursor: BatchCursor,
         max_requests: int | None = None,
     ) -> BatchOutcome:
-        """Service a batch through the fused steps when they stand for ``write``/``read``."""
-        reason = self._fallback_reason()
-        if reason is not None:
+        """Service a batch through the fused steps.
+
+        A subclass that overrides ``write`` or ``read`` has effects the
+        steps lack, so its batches go through those methods instead
+        (counted in ``batch.fallback.overridden_scalar``).
+        """
+        cls = type(self)
+        owner = next(k for k in cls.__mro__ if "_batch_steps" in vars(k))
+        if cls.write is not owner.write or cls.read is not owner.read:
             if cursor.active:
-                registry().counter(f"batch.fallback.{reason}").inc()
+                registry().counter("batch.fallback.overridden_scalar").inc()
             return super().service_batch(batch, cursor, max_requests)
         columns = BatchColumns(self.stages.enabled)
         write, read = self._batch_steps(columns)
@@ -186,26 +211,17 @@ class FusedController(MemoryController):
         columns.fold(self.stats, self.stages)
         return outcome
 
-    def _fallback_reason(self) -> str | None:
-        """Why this batch must take the scalar reference (``None``: it need not).
-
-        Per-request observers see only the scalar path's detail, and the
-        steps stand for the ``write``/``read`` of the class that defines
-        them: a subclass overriding either method has effects they lack.
-        """
-        if self.tracer.enabled:
-            return "tracer"
-        if self.timeline.enabled:
-            return "timeline"
-        cls = type(self)
-        owner = next(k for k in cls.__mro__ if "_batch_steps" in vars(k))
-        if cls.write is not owner.write or cls.read is not owner.read:
-            return "overridden_scalar"
-        return None
-
     @abc.abstractmethod
     def _batch_steps(self, columns: BatchColumns) -> tuple[WriteStep, ReadStep]:
-        """This batch's write and read steps, recording into ``columns``."""
+        """This batch's write and read steps, recording into ``columns``.
+
+        The steps also emit the tracer spans and timeline records of each
+        request, checking once per batch whether those observers are on.
+        """
 
     def _finish_batch(self) -> None:
         """Write back any state the steps deferred to the end of the batch."""
+
+    @abc.abstractmethod
+    def _plaintext(self, address: int) -> bytes:
+        """The line a read of ``address`` returns now (untimed, no side effects)."""

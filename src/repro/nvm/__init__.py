@@ -19,7 +19,7 @@ Public surface: :class:`NvmConfig` bundles the Table II-style parameters,
 
 from repro.nvm.config import NvmConfig, NvmEnergyConfig, NvmOrganization, NvmTimingConfig
 from repro.nvm.bank import Bank
-from repro.nvm.memory import AccessResult, NvmMainMemory
+from repro.nvm.memory import NvmMainMemory
 from repro.nvm.wear import WearTracker
 from repro.nvm.wearlevel import StartGapConfig, StartGapMapper, WearLevelledNvm
 from repro.nvm.energy import EnergyAccount
@@ -31,7 +31,6 @@ __all__ = [
     "NvmOrganization",
     "Bank",
     "NvmMainMemory",
-    "AccessResult",
     "WearTracker",
     "EnergyAccount",
     "StartGapConfig",

@@ -5,11 +5,14 @@ of independently busy banks with asymmetric read/write service times; and it
 feeds the wear and energy trackers on every access.  Memory controllers
 (DeWrite and all baselines) sit on top of this one class, so every design is
 measured against the identical device.
+
+The timed interface is one read and one write, each returning the access's
+completion time (plus :meth:`NvmMainMemory.read_burst`, a loop of untraced
+reads).  Line contents are read functionally, with no timing effect,
+through :meth:`NvmMainMemory.peek`.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from repro.nvm.bank import Bank
 from repro.nvm.config import NvmConfig
@@ -17,31 +20,6 @@ from repro.nvm.energy import EnergyAccount
 from repro.nvm.wear import WearTracker
 from repro.obs.timeline import NULL_TIMELINE, TimelineLike
 from repro.obs.trace import NULL_TRACER, TracerLike
-
-
-class AccessResult(NamedTuple):
-    """Timing outcome of one array access.
-
-    A NamedTuple rather than a dataclass: the device constructs one per
-    access on the hot path, and tuple allocation is several times cheaper
-    than dataclass ``__init__``.
-    """
-
-    address: int
-    start_ns: float
-    complete_ns: float
-    arrival_ns: float
-    data: bytes | None = None
-
-    @property
-    def wait_ns(self) -> float:
-        """Queueing delay before the bank began service."""
-        return self.start_ns - self.arrival_ns
-
-    @property
-    def latency_ns(self) -> float:
-        """Arrival-to-completion latency (what the requester observes)."""
-        return self.complete_ns - self.arrival_ns
 
 
 class NvmMainMemory:
@@ -93,11 +71,13 @@ class NvmMainMemory:
 
     # -- timed device interface ---------------------------------------------
 
-    def read(self, address: int, arrival_ns: float, *, trace: bool = True) -> AccessResult:
-        """Service one line read through its bank.
+    def read(self, address: int, arrival_ns: float, *, trace: bool = True) -> float:
+        """Service one line read through its bank; returns its completion time.
 
         A read of the line currently latched in the bank's row buffer is a
         row hit: it skips the array access (``row_hit_ns``, ~10 % energy).
+        The line's contents are not returned: callers that need them read
+        :meth:`peek` (untimed) alongside.
 
         ``trace=False`` suppresses the device-level span only (scheduling,
         energy and stats are unaffected) — the dedup engine uses it for
@@ -159,31 +139,14 @@ class NvmMainMemory:
             self.timeline.record_nvm_read(
                 arrival_ns, bank=bank.index, wait_ns=start - arrival_ns
             )
-        return AccessResult(
-            address=address,
-            start_ns=start,
-            complete_ns=complete,
-            arrival_ns=arrival_ns,
-            data=self._lines.get(address, self._zero_line),
-        )
+        return complete
 
-    def write(
-        self,
-        address: int,
-        data: bytes,
-        arrival_ns: float,
-        bits_written: int | None = None,
-    ) -> AccessResult:
-        """Service one line write through its bank.
+    def write(self, address: int, data: bytes, arrival_ns: float) -> float:
+        """Service one line write through its bank; returns its completion time.
 
-        Args:
-            address: physical line index.
-            data: new line contents (ciphertext, for secure controllers).
-            arrival_ns: request arrival time.
-            bits_written: cells the write circuit programs; defaults to the
-                full line (naive write).  Bit-level reduction baselines pass
-                their own figure; wear always additionally records the true
-                number of flipped cells.
+        ``data`` is the new line contents (ciphertext, for secure
+        controllers).  The write circuit programs the full line (a naive
+        write); wear additionally records the true number of flipped cells.
         """
         if not 0 <= address < self._total_lines:
             self._check_address(address)
@@ -191,59 +154,6 @@ class NvmMainMemory:
             raise ValueError(f"line must be {self._line_size} bytes, got {len(data)}")
         bank = self._banks[address % self._bank_count]
         # Inlined Bank.schedule(arrival, t_write) — arithmetic identical.
-        busy = bank.busy_until_ns
-        backlog = busy - arrival_ns
-        if backlog > bank.peak_backlog_ns:
-            bank.peak_backlog_ns = backlog
-        start = arrival_ns if arrival_ns > busy else busy
-        complete = start + self._t_write_ns
-        bank.busy_until_ns = complete
-        bank.serviced_requests += 1
-        bank.total_wait_ns += start - arrival_ns
-        bank.total_service_ns += self._t_write_ns
-        bank.open_line = address
-
-        new_int = int.from_bytes(data, "little")
-        line_ints = self._line_ints
-        flips = (line_ints.get(address, 0) ^ new_int).bit_count()
-        if bits_written is None:
-            bits_written = self._full_line_bits
-        self.wear.record_write(address, bit_flips=flips, bits_written=bits_written)
-        self.energy.nvm_write_nj += bits_written * self._e_write_pj_per_bit / 1000.0
-        self._lines[address] = data
-        line_ints[address] = new_int
-        self.writes += 1
-        if self.tracer.enabled:
-            self.tracer.span(
-                "nvm.write",
-                arrival_ns,
-                complete,
-                bank=bank.index,
-                wait_ns=start - arrival_ns,
-                bit_flips=flips,
-            )
-        if self.timeline.enabled:
-            self.timeline.record_nvm_write(
-                arrival_ns, bank=bank.index, wait_ns=start - arrival_ns, bit_flips=flips
-            )
-        return AccessResult(
-            address=address, start_ns=start, complete_ns=complete, arrival_ns=arrival_ns
-        )
-
-    def write_complete_ns(self, address: int, data: bytes, arrival_ns: float) -> float:
-        """:meth:`write` without the result object: returns the complete time.
-
-        Scheduling, wear, energy, statistics, tracer and timeline effects
-        are identical to :meth:`write` with the default (naive, full-line)
-        ``bits_written``; only the :class:`AccessResult` is elided.  For the
-        fused batch kernels, which discard everything but the completion
-        time.
-        """
-        if not 0 <= address < self._total_lines:
-            self._check_address(address)
-        if len(data) != self._line_size:
-            raise ValueError(f"line must be {self._line_size} bytes, got {len(data)}")
-        bank = self._banks[address % self._bank_count]
         busy = bank.busy_until_ns
         backlog = busy - arrival_ns
         if backlog > bank.peak_backlog_ns:
@@ -280,130 +190,23 @@ class NvmMainMemory:
             )
         return complete
 
-    def read_complete_ns(self, address: int, arrival_ns: float, *, trace: bool = True) -> float:
-        """:meth:`read` without the result object: returns the complete time.
-
-        Scheduling, energy, statistics, tracer and timeline effects are
-        identical to :meth:`read`; only the :class:`AccessResult` (and its
-        line-content lookup) is elided.  For callers that discard the data —
-        verify reads, fused batch kernels, counter fetches.
-        """
-        if not 0 <= address < self._total_lines:
-            self._check_address(address)
-        bank = self._banks[address % self._bank_count]
-        row_hit = bank.open_line == address
-        service = self._t_row_hit_ns if row_hit else self._t_read_ns
-        t_write = self._t_write_ns
-        busy = bank.busy_until_ns
-        backlog = busy - arrival_ns
-        if backlog > bank.peak_backlog_ns:
-            bank.peak_backlog_ns = backlog
-        backlog_excess = backlog - t_write * 2
-        earliest = arrival_ns + backlog_excess if backlog_excess > 0 else arrival_ns
-        in_service_until = earliest + t_write
-        if busy < in_service_until:
-            in_service_until = busy
-        start = arrival_ns
-        if bank.read_tail_ns > start:
-            start = bank.read_tail_ns
-        if in_service_until > start:
-            start = in_service_until
-        complete = start + service
-        bank.read_tail_ns = complete
-        new_busy = (busy if busy > arrival_ns else arrival_ns) + service
-        if complete > new_busy:
-            new_busy = complete
-        bank.busy_until_ns = new_busy
-        bank.serviced_requests += 1
-        bank.total_wait_ns += start - arrival_ns
-        bank.total_service_ns += service
-        if row_hit:
-            bank.row_hits += 1
-            self.energy.nvm_read_nj += self._e_read_hit_nj
-        else:
-            self.energy.nvm_read_nj += self._e_read_miss_nj
-        bank.open_line = address
-        self.reads += 1
-        if trace and self.tracer.enabled:
-            self.tracer.span(
-                "nvm.read",
-                arrival_ns,
-                complete,
-                bank=bank.index,
-                wait_ns=start - arrival_ns,
-                row_hit=row_hit,
-            )
-        if self.timeline.enabled:
-            self.timeline.record_nvm_read(
-                arrival_ns, bank=bank.index, wait_ns=start - arrival_ns
-            )
-        return complete
+    # Former names of read/write, kept only because an external layer
+    # trace resolves them by name; nothing in this package calls them.
+    read_complete_ns = read
+    write_complete_ns = write
 
     def read_burst(self, addresses: "range | list[int]", arrival_ns: float) -> None:
         """Service a burst of line reads arriving together, results discarded.
 
-        Semantically identical to calling :meth:`read` (with ``trace=False``)
-        on each address in order and ignoring the returned data — same bank
-        scheduling, energy, wear-neutral accounting and statistics — but
-        fused into one loop with the per-request allocations (the
-        :class:`AccessResult`, the line-content lookup) elided.  Built for
-        scanners and verifiers that only need the bank occupancy side
-        effects of their reads, e.g. the out-of-line page-dedup scanner.
+        :meth:`read` with ``trace=False`` on each address in order: bank
+        occupancy, energy, statistics and timeline records of every read,
+        without a device span per line.  Built for scanners that only need
+        the bank occupancy side effects of their reads, e.g. the out-of-line
+        page-dedup scanner.
         """
-        total_lines = self._total_lines
-        banks = self._banks
-        bank_count = self._bank_count
-        t_hit = self._t_row_hit_ns
-        t_read = self._t_read_ns
-        t_write = self._t_write_ns
-        e_hit = self._e_read_hit_nj
-        e_miss = self._e_read_miss_nj
-        energy = self.energy
-        timeline = self.timeline if self.timeline.enabled else None
-        count = 0
-        drain_threshold = t_write * 2
+        read = self.read
         for address in addresses:
-            if not 0 <= address < total_lines:
-                self._check_address(address)
-            bank = banks[address % bank_count]
-            row_hit = bank.open_line == address
-            # Inlined Bank.schedule_read — same arithmetic as read().
-            service = t_hit if row_hit else t_read
-            busy = bank.busy_until_ns
-            backlog = busy - arrival_ns
-            if backlog > bank.peak_backlog_ns:
-                bank.peak_backlog_ns = backlog
-            backlog_excess = backlog - drain_threshold
-            earliest = arrival_ns + backlog_excess if backlog_excess > 0 else arrival_ns
-            in_service_until = earliest + t_write
-            if busy < in_service_until:
-                in_service_until = busy
-            start = arrival_ns
-            if bank.read_tail_ns > start:
-                start = bank.read_tail_ns
-            if in_service_until > start:
-                start = in_service_until
-            complete = start + service
-            bank.read_tail_ns = complete
-            new_busy = (busy if busy > arrival_ns else arrival_ns) + service
-            if complete > new_busy:
-                new_busy = complete
-            bank.busy_until_ns = new_busy
-            bank.serviced_requests += 1
-            bank.total_wait_ns += start - arrival_ns
-            bank.total_service_ns += service
-            if row_hit:
-                bank.row_hits += 1
-                energy.nvm_read_nj += e_hit
-            else:
-                energy.nvm_read_nj += e_miss
-            bank.open_line = address
-            count += 1
-            if timeline is not None:
-                timeline.record_nvm_read(
-                    arrival_ns, bank=bank.index, wait_ns=start - arrival_ns
-                )
-        self.reads += count
+            read(address, arrival_ns, trace=False)
 
     # -- functional (untimed) interface ----------------------------------------
 
@@ -469,10 +272,6 @@ class NvmMainMemory:
         self.energy.reset()
 
     # -- internals ----------------------------------------------------------------
-
-    @staticmethod
-    def _bit_flips(old: bytes, new: bytes) -> int:
-        return (int.from_bytes(old, "little") ^ int.from_bytes(new, "little")).bit_count()
 
     def _check_address(self, address: int) -> None:
         if not 0 <= address < self.config.organization.total_lines:

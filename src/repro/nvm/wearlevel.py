@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.nvm.memory import AccessResult, NvmMainMemory
+from repro.nvm.memory import NvmMainMemory
 
 
 @dataclass(frozen=True)
@@ -188,36 +188,13 @@ class WearLevelledNvm:
 
     # -- levelled accesses -------------------------------------------------------
 
-    def read(self, address: int, arrival_ns: float, *, trace: bool = True) -> AccessResult:
+    def read(self, address: int, arrival_ns: float, *, trace: bool = True) -> float:
         """Read through the current start/gap translation."""
         return self._nvm.read(self.mapper.translate(address), arrival_ns, trace=trace)
 
-    def write(
-        self,
-        address: int,
-        data: bytes,
-        arrival_ns: float,
-        bits_written: int | None = None,
-    ) -> AccessResult:
+    def write(self, address: int, data: bytes, arrival_ns: float) -> float:
         """Write through the translation; occasionally moves the gap."""
-        result = self._nvm.write(
-            self.mapper.translate(address), data, arrival_ns, bits_written
-        )
-        move = self.mapper.record_write()
-        if move is not None:
-            source, dest = move
-            carried = self._nvm.peek(source)
-            self._nvm.write(dest, carried, result.complete_ns)
-            self.levelling_writes += 1
-        return result
-
-    def read_complete_ns(self, address: int, arrival_ns: float, *, trace: bool = True) -> float:
-        """Slim read through the translation (see ``NvmMainMemory``)."""
-        return self._nvm.read_complete_ns(self.mapper.translate(address), arrival_ns, trace=trace)
-
-    def write_complete_ns(self, address: int, data: bytes, arrival_ns: float) -> float:
-        """Slim write through the translation; occasionally moves the gap."""
-        complete = self._nvm.write_complete_ns(self.mapper.translate(address), data, arrival_ns)
+        complete = self._nvm.write(self.mapper.translate(address), data, arrival_ns)
         move = self.mapper.record_write()
         if move is not None:
             source, dest = move

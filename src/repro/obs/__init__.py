@@ -21,8 +21,8 @@ The observability layer for the simulator stack:
   ``BENCH_<gitsha>.json`` regression gate (``python -m repro bench``);
 - :mod:`repro.obs.stages` — summary-mode per-stage latency accounting
   (:class:`~repro.obs.stages.StageAccumulator`) that the fused batch
-  kernels feed with columnar flushes, keeping them fused where full
-  tracing would force the scalar path;
+  kernels feed with columnar flushes, a cheap summary where full tracing
+  records every request;
 - :mod:`repro.obs.profile` — the deterministic batch profiler behind
   ``python -m repro profile`` (stage tables, collapsed-stack
   flamegraphs, per-batch wall timing kept out of sim state).

@@ -50,9 +50,10 @@ _WALL_METRIC_KINDS = ("gauge", "histogram")
 #: on cache warmth (a warm run executes zero jobs), not on what the
 #: simulation computed.  They compare informationally, so two runs of the
 #: same figure at the same SHA diff clean whatever the cache state.
-#: ``batch.fallback.*`` counts batches driven down the scalar path (a
-#: property of which observers were attached, not of the simulated
-#: results — fused and scalar paths are equivalence-tested identical).
+#: ``batch.fallback.*`` counts batches driven through a subclass's own
+#: ``write``/``read`` instead of the fused steps (a property of how the
+#: controller was wrapped, not of the simulated results — both paths are
+#: equivalence-tested identical).
 #: ``events.*`` counts live-telemetry records emitted/dropped, a property
 #: of whether an event sink was attached and how healthy it was.
 _ENVIRONMENT_COUNTER_PREFIXES = ("jobs.", "simulations", "batch.fallback.", "events.")
@@ -309,7 +310,7 @@ def diff_stage_sections(
     """Deterministic divergences between two manifest ``stages`` sections.
 
     Stage totals in summary mode are functions of the simulated clock
-    only (the reconciliation suite pins them to the scalar trace spans),
+    only (the reconciliation suite pins them to the trace spans),
     so any count/total/min/max/bucket mismatch is drift.  Returns
     ``(notes, stages compared)``; both-absent compares nothing.
     """

@@ -1,9 +1,8 @@
 """Deterministic per-kernel batch profiler (``python -m repro profile``).
 
-Full tracing answers "where did the *simulated* time go?" but forces the
-fused ``service_batch`` kernels onto the scalar path, so it cannot answer
-"where does the *host* time go while the kernels are fused?".  This
-module profiles the fast path without perturbing it:
+Full tracing answers "where did the *simulated* time go?", request by
+request, but not "where does the *host* time go in the fused kernels?".
+This module profiles the fast path without perturbing it:
 
 - a :class:`BatchProfiler` wraps the controller's ``service_batch`` as an
   **instance attribute** (the simulator dispatches through the instance;
@@ -100,7 +99,7 @@ class BatchProfiler:
             return outcome
 
         # Shadow via the instance so the class-level eligibility check and
-        # the super() call to the scalar reference are untouched.
+        # the super() call to the per-request path are untouched.
         controller.service_batch = timed_service_batch  # type: ignore[method-assign]
         self._attached = True
         return self

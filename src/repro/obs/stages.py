@@ -1,9 +1,8 @@
 """Batch-native per-stage latency accounting for the fused steps.
 
 Full tracing (:mod:`repro.obs.trace`) records one span per request per
-stage — that fidelity is why fused controllers take their scalar
-reference the moment a tracer is attached.  This module is the
-*summary* mode that keeps them fused: a :class:`StageAccumulator` holds
+stage.  This module is the cheaper *summary* mode: a
+:class:`StageAccumulator` holds
 one fixed-bucket :class:`~repro.obs.metrics.Histogram` per pipeline
 stage (count / latency sum / min / max / bucket counts) and the fused
 steps feed it with columnar per-batch flushes instead of per-request
@@ -19,12 +18,12 @@ and :class:`~repro.obs.timeline.TimelineCollector`):
   associative (pinned by a hypothesis property in
   ``tests/obs/test_stages.py``);
 - **reconciliation**: for any trace, the per-stage totals collected in
-  summary mode equal the grouped sums of the scalar path's trace spans
+  summary mode equal the grouped sums of the same run's trace spans
   bit-for-bit.  The kernels guarantee this by recording the *same*
   ``end - start`` float expressions the spans would have carried, and
   :meth:`~StageAccumulator.record_many` accumulates samples one at a
-  time (never ``sum()``) so a columnar flush reproduces the scalar
-  accumulation order exactly.  ``tests/system/test_stage_reconciliation``
+  time (never ``sum()``) so a columnar flush reproduces the
+  per-request accumulation order exactly.  ``tests/system/test_stage_reconciliation``
   enforces this for every registered controller.
 """
 
@@ -82,8 +81,8 @@ class StageAccumulator:
         """Account a columnar batch of samples for one stage.
 
         Samples are folded in one at a time, in order — the float sums
-        this produces are bit-identical to the scalar path recording the
-        same durations individually, which is what the reconciliation
+        this produces are bit-identical to recording the same durations
+        individually, which is what the reconciliation
         suite asserts.  An empty batch records nothing (and never creates
         an empty stage, so flushed-but-unused stages don't appear).
         """

@@ -4,8 +4,7 @@ One ``serve-shard`` job per shard is the data plane's unit of work: it
 re-derives its slice of the global seeded tenant stream, sizes a private
 NVM device from the tenants it actually carved space for, and drives the
 controller through the fused batch path with a summary-mode
-:class:`~repro.obs.stages.StageAccumulator` attached (full tracing would
-force the scalar reference).  Jobs are content-keyed :class:`JobSpec`\\ s, so
+:class:`~repro.obs.stages.StageAccumulator` attached.  Jobs are content-keyed :class:`JobSpec`\\ s, so
 the runner's cache, memoisation, dedup and parallel transport all apply
 unchanged, and a sharded run with ``--parallel N`` is bit-identical to
 the same plan executed serially.

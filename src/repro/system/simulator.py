@@ -20,11 +20,9 @@ The per-request loop itself is :func:`repro.core.batching.issue`.  The
 trace's columnar :class:`~repro.workloads.batch.AccessBatch` is driven
 through the controller's
 :meth:`~repro.core.interface.MemoryController.service_batch` in
-``batch_size``-request slices (fused controllers run their fused steps);
-``batch_size=None`` instead runs the whole trace through the scalar
-reference, :meth:`MemoryController.service_batch
-<repro.core.interface.MemoryController.service_batch>`, which drives the
-controller's own ``write``/``read``.  Both produce byte-identical reports.
+``batch_size``-request slices; a fused controller runs its steps, which
+also feed any attached tracer or timeline.  Every slicing produces a
+byte-identical report.
 """
 
 from __future__ import annotations
@@ -46,12 +44,11 @@ class SystemSimulator:
         controller: MemoryController,
         trace: Trace,
         core_config: CoreModelConfig | None = None,
-        batch_size: int | None = DEFAULT_BATCH_SIZE,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
-        """``batch_size`` caps the requests per ``service_batch`` call;
-        ``None`` runs the trace through the scalar reference instead."""
-        if batch_size is not None and batch_size < 1:
-            raise ValueError("batch_size must be positive (or None for scalar)")
+        """``batch_size`` caps the requests per ``service_batch`` call."""
+        if batch_size < 1:
+            raise ValueError("batch_size must be positive")
         self.controller = controller
         self.trace = trace
         self.core_config = core_config if core_config is not None else CoreModelConfig()
@@ -71,11 +68,6 @@ class SystemSimulator:
         controller = self.controller
         size = self.batch_size
         tracer = controller.tracer
-        if size is None:
-            # The scalar reference services the whole trace in one call,
-            # even for controllers with fused steps; the loop below then
-            # finds the cursor done.
-            MemoryController.service_batch(controller, batch, cursor)
         while not cursor.done:
             start_ns = cursor.makespan_ns()
             outcome = controller.service_batch(batch, cursor, max_requests=size)
@@ -134,7 +126,7 @@ def simulate(
     controller: MemoryController,
     trace: Trace,
     core_config: CoreModelConfig | None = None,
-    batch_size: int | None = DEFAULT_BATCH_SIZE,
+    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> SimulationReport:
     """One-shot convenience wrapper around :class:`SystemSimulator`."""
     return SystemSimulator(controller, trace, core_config, batch_size=batch_size).run()

@@ -13,9 +13,13 @@ from repro.baselines.secure_nvm import TraditionalSecureNvmController
 from repro.check.invariants import CheckedController, InvariantViolation
 from repro.core.dewrite import DeWriteController
 from repro.core.metadata_cache import MetadataCache
+from repro.core.registry import available_controllers, build_controller
 from repro.core.tables import DedupIndex, DedupIndexError
 from repro.nvm.config import NvmConfig, NvmOrganization
 from repro.nvm.memory import NvmMainMemory
+from repro.system.simulator import simulate
+from repro.workloads.generator import generate_trace
+from repro.workloads.profiles import profile_by_name
 
 LINE = 256
 
@@ -230,3 +234,52 @@ class TestVerifyMethods:
     def test_checked_controller_rejects_negative_interval(self):
         with pytest.raises(ValueError):
             make_checked(deep_check_interval=-1)
+
+
+# 1-bit minor counters on 64-line pages: every rewrite overflows, and the
+# re-encryption touches other written lines of the page.
+SPLIT_COUNTERS = {"use_split_counters": True, "minor_counter_bits": 1, "lines_per_page": 64}
+
+#: (controller, options, counter of the rare path the options force).
+READ_BACK_CASES = [
+    pytest.param(name, {}, None, id=name) for name in sorted(available_controllers())
+] + [
+    pytest.param("secure-nvm", SPLIT_COUNTERS, "reencrypted_lines", id="secure-nvm-split"),
+    pytest.param(
+        "silent-shredder", SPLIT_COUNTERS, "reencrypted_lines", id="silent-shredder-split"
+    ),
+    pytest.param("i-nvmm", {"hot_set_lines": 8}, "cold_encryptions", id="i-nvmm-hot8"),
+]
+
+
+class TestReadBack:
+    """Reads return at-rest data: plaintext rebuilt from the device image."""
+
+    @pytest.mark.parametrize(("name", "opts", "rare"), READ_BACK_CASES)
+    def test_checked_run_reads_back_last_write(self, name, opts, rare):
+        # hmmer mixes zero lines, duplicates and rewrites.
+        trace = generate_trace(profile_by_name("hmmer"), 600, seed=5)
+        checked = CheckedController(build_controller(name, NvmMainMemory(), **opts))
+        simulate(checked, trace)
+        if rare is not None:
+            assert getattr(checked.inner, rare) > 0, f"{rare} never fired"
+        last: dict[int, bytes] = {}
+        for access in trace:
+            if access.op == "write":
+                last[access.address] = access.data
+        now = 1e12
+        for address, data in sorted(last.items()):
+            outcome = checked.read(address, now)
+            assert outcome.data == data, f"{name}: line {address} read back wrong"
+            now = outcome.complete_ns
+        checked.close(now)
+
+    @pytest.mark.parametrize("name", ["dewrite", "secure-nvm"])
+    def test_poked_ciphertext_fails_the_data_check(self, name):
+        checked = CheckedController(build_controller(name, make_nvm()), deep_check_interval=0)
+        now = fill(checked, 8)
+        index = getattr(checked.inner, "index", None)
+        stored_at = index.physical_of(5) if index is not None else 5
+        checked.nvm.poke(stored_at, bytes([0xA5]) * LINE)
+        with pytest.raises(InvariantViolation, match="corrupted data"):
+            checked.read(5, now)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.registry import available_controllers, build_controller
 from repro.obs.timeline import (
     NULL_TIMELINE,
     NullTimeline,
@@ -271,3 +272,19 @@ class TestEndToEnd:
         assert totals["writes"] > 0
         assert totals["dedup_writes"] == 0  # the baseline never deduplicates
         assert totals["nvm_writes"] >= totals["writes"]
+
+
+@pytest.mark.parametrize("name", sorted(available_controllers()))
+def test_timeline_counts_every_request(name):
+    # Every controller's steps record each write and read exactly once,
+    # including Silent Shredder's zero-line shortcut and i-NVMM's hot set.
+    from repro.nvm.memory import NvmMainMemory
+    from repro.runner.jobs import trace_for
+    from repro.system.simulator import simulate
+
+    timeline = TimelineCollector()
+    controller = build_controller(name, NvmMainMemory(), timeline=timeline)
+    simulate(controller, trace_for("lbm", 3000, 3))
+    rows = timeline.rows()
+    assert sum(row["writes"] for row in rows) == controller.stats.writes_requested
+    assert sum(row["reads"] for row in rows) == controller.stats.reads_requested

@@ -1,11 +1,12 @@
-"""Scalar-vs-batched equivalence — the batched kernels' hard correctness bar.
+"""Batch-size equivalence — the fused steps' hard correctness bar.
 
 Every registered controller must produce a byte-identical
-:class:`~repro.system.metrics.SimulationReport` whether a trace is driven
-through the scalar reference (``write()``/``read()``) or through its fused
-steps (``service_batch`` at any batch size).  The steps replicate the
-scalar float operation order exactly, so the comparison is on the full
-serialised report — latencies, energy, wear, IPC — not on rounded values.
+:class:`~repro.system.metrics.SimulationReport` however a trace is sliced
+into ``service_batch`` calls: one request per batch (the reference) or
+many.  The comparison is on the full serialised report — latencies,
+energy, wear, IPC — not on rounded values.  Attached observers (tracer,
+timeline) must neither change a report nor send a batch off the fused
+steps.  ``test_golden_reports`` pins the bytes themselves.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.core.registry import available_controllers, build_controller
 from repro.nvm.config import NvmConfig, NvmOrganization
 from repro.nvm.memory import NvmMainMemory
 from repro.obs.metrics import registry
+from repro.obs.timeline import TimelineCollector
 from repro.obs.trace import Tracer
 from repro.system.simulator import simulate
 from repro.workloads.generator import generate_trace
@@ -41,14 +43,14 @@ def canonical(report) -> str:
 def assert_equivalent(
     name: str, trace: Trace, batch_sizes=(1, 7, 1024), lines: int = 64 * 1024
 ) -> None:
-    scalar = canonical(
-        simulate(build_controller(name, make_nvm(lines)), trace, batch_size=None)
+    reference = canonical(
+        simulate(build_controller(name, make_nvm(lines)), trace, batch_size=1)
     )
     for size in batch_sizes:
         batched = canonical(
             simulate(build_controller(name, make_nvm(lines)), trace, batch_size=size)
         )
-        assert batched == scalar, f"{name} batch_size={size} diverges from scalar"
+        assert batched == reference, f"{name} batch_size={size} diverges from batch_size=1"
 
 
 def fallback_counts() -> dict[str, float]:
@@ -81,7 +83,7 @@ class TestRandomTraces:
     def test_single_core_trace(self, name):
         # lbm is single-threaded: the issue loop's single-stream fast path.
         trace = generate_trace(profile_by_name("lbm"), 600, seed=3)
-        assert_equivalent(name, trace)
+        assert_equivalent(name, trace, batch_sizes=(7, 1024))
 
     @pytest.mark.parametrize("name", CONTROLLERS)
     def test_duplicate_heavy_trace(self, name):
@@ -93,11 +95,11 @@ class TestRandomTraces:
 class TestEdgeCases:
     @pytest.mark.parametrize("name", CONTROLLERS)
     def test_empty_trace(self, name):
-        assert_equivalent(name, Trace("empty", []), batch_sizes=(1, 1024))
+        assert_equivalent(name, Trace("empty", []), batch_sizes=(1024,))
 
     @pytest.mark.parametrize("name", CONTROLLERS)
     def test_single_access_trace(self, name):
-        assert_equivalent(name, Trace("one", [wr(0, persistent=True)]), batch_sizes=(1, 1024))
+        assert_equivalent(name, Trace("one", [wr(0, persistent=True)]), batch_sizes=(1024,))
 
     @pytest.mark.parametrize("name", CONTROLLERS)
     def test_bank_conflict_burst(self, name):
@@ -108,29 +110,48 @@ class TestEdgeCases:
         for i in range(48):
             accesses.append(wr(i * stride, gap=1, persistent=i % 3 == 0, fill=i % 5))
             accesses.append(rd(i * stride, gap=1))
-        assert_equivalent(name, Trace("conflict", accesses), batch_sizes=(1, 16, 1024))
+        assert_equivalent(name, Trace("conflict", accesses), batch_sizes=(16, 1024))
 
     @pytest.mark.parametrize("name", CONTROLLERS)
     def test_multi_core_trace_stays_fused(self, name):
         # canneal runs 4 threads: the shared issue loop merges the streams
-        # by arrival for the fused steps exactly as for the scalar reference.
+        # by arrival whatever the batch size.
         trace = generate_trace(profile_by_name("canneal"), 400, seed=7)
         assert trace.threads > 1
         before = fallback_counts()
-        assert_equivalent(name, trace, batch_sizes=(1, 64, 1024), lines=256 * 1024)
+        assert_equivalent(name, trace, batch_sizes=(64, 1024), lines=256 * 1024)
         assert fallback_counts() == before
 
     @pytest.mark.parametrize("name", CONTROLLERS)
     def test_multi_core_trace_falls_back(self, name):
-        # A tracer sends a multi-stream run to the scalar reference; the
-        # report must still be the untraced fused run's, byte for byte.
+        # A subclass overriding write() sends a multi-stream run through
+        # its own write()/read(), one request at a time; the report must
+        # still be the fused run's, byte for byte, and the fallback counted.
         trace = generate_trace(profile_by_name("canneal"), 400, seed=7)
         fused = canonical(simulate(build_controller(name, make_nvm(256 * 1024)), trace))
+        controller = build_controller(name, make_nvm(256 * 1024))
+        base = type(controller)
+        controller.__class__ = type(
+            base.__name__, (base,), {"write": lambda self, *args: base.write(self, *args)}
+        )
         before = fallback_counts()
-        traced = build_controller(name, make_nvm(256 * 1024), tracer=Tracer(sink=None))
-        assert canonical(simulate(traced, trace, batch_size=64)) == fused
+        assert canonical(simulate(controller, trace, batch_size=64)) == fused
         after = fallback_counts()
-        assert after.get("batch.fallback.tracer", 0.0) > before.get("batch.fallback.tracer", 0.0)
+        key = "batch.fallback.overridden_scalar"
+        assert after.get(key, 0.0) > before.get(key, 0.0)
+
+    @pytest.mark.parametrize("name", CONTROLLERS)
+    def test_observed_multi_core_trace_stays_fused(self, name):
+        # Observers ride the fused steps: a tracer- or timeline-attached
+        # multi-stream run counts no fallback and reports the untraced
+        # run's bytes.
+        trace = generate_trace(profile_by_name("canneal"), 400, seed=7)
+        plain = canonical(simulate(build_controller(name, make_nvm(256 * 1024)), trace))
+        for observer in ({"tracer": Tracer(sink=None)}, {"timeline": TimelineCollector()}):
+            before = fallback_counts()
+            observed = build_controller(name, make_nvm(256 * 1024), **observer)
+            assert canonical(simulate(observed, trace, batch_size=64)) == plain, observer
+            assert fallback_counts() == before, observer
 
 
 SPLIT_COUNTERS = {"use_split_counters": True, "minor_counter_bits": 2, "lines_per_page": 4}
@@ -159,9 +180,9 @@ class TestRarePaths:
             accesses.append(rd(i * 3 % 28))
         trace = Trace("constrained", accesses)
         reference = build_controller(name, make_nvm(), **opts)
-        scalar = canonical(simulate(reference, trace, batch_size=None))
+        expected = canonical(simulate(reference, trace, batch_size=1))
         assert getattr(reference, counter) > 0, f"{counter} never fired"
-        for size in (1, 64):
+        for size in (64, 1024):
             fused = build_controller(name, make_nvm(), **opts)
-            assert canonical(simulate(fused, trace, batch_size=size)) == scalar
+            assert canonical(simulate(fused, trace, batch_size=size)) == expected
             assert getattr(fused, counter) == getattr(reference, counter)

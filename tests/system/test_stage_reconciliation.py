@@ -1,17 +1,16 @@
 """Summary-mode reconciliation — the stage accumulator's correctness bar.
 
 The fused steps feed a :class:`~repro.obs.stages.StageAccumulator`
-columnar, per batch, while a :class:`~repro.obs.trace.Tracer` forces the
-scalar reference and emits one span per stage occurrence.  Both views describe
-the same simulated pipeline, so for every registered controller the
-summary-mode per-stage (count, total) must equal the aggregation of the
-scalar-path trace spans **bit-for-bit**: the steps record the exact
-float expressions the spans imply, and both sides sum left-to-right in
-arrival order.
+columnar, per batch, and emit one :class:`~repro.obs.trace.Tracer` span
+per stage occurrence.  Both views describe the same simulated pipeline,
+so for every registered controller the summary-mode per-stage (count,
+total) must equal the aggregation of the trace spans **bit-for-bit**:
+the steps record the exact float expressions the spans carry, and both
+sides sum left-to-right in arrival order.
 
-Also pinned here: attaching only a stage accumulator never knocks a
-kernel off the fused path (``batch.fallback.*`` stays flat) and never
-perturbs the serialised :class:`SimulationReport`.
+Also pinned here: attaching an observer never knocks a kernel off the
+fused path (``batch.fallback.*`` stays flat) and a stage accumulator
+never perturbs the serialised :class:`SimulationReport`.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ import json
 
 import pytest
 
+from repro.check.invariants import CheckedController
 from repro.core.dewrite import DeWriteController
 from repro.core.registry import available_controllers, build_controller
 from repro.nvm.memory import NvmMainMemory
@@ -48,7 +48,7 @@ def single_stream_trace(app: str = "lbm", accesses: int = 500, seed: int = 9):
 def scalar_span_sums(name: str, trace) -> dict[str, tuple[int, float]]:
     tracer = Tracer(sink=None)
     controller = build_controller(name, NvmMainMemory(), tracer=tracer)
-    simulate(controller, trace, batch_size=1024)  # tracer forces scalar driving
+    simulate(controller, trace, batch_size=1024)
     return {
         stage: (len(durations), sum(durations))
         for stage, durations in tracer.stage_durations(clock="sim").items()
@@ -84,7 +84,7 @@ def fallback_snapshot() -> dict[str, float]:
 
 
 class TestReconciliation:
-    """Summary totals == grouped scalar span sums, exactly."""
+    """Summary totals == grouped trace span sums, exactly."""
 
     @pytest.mark.parametrize("name", CONTROLLERS)
     def test_single_core_trace_reconciles_bitwise(self, name):
@@ -142,21 +142,21 @@ class TestFusedPathPreserved:
 
 
 class TestFallbackCounters:
-    def test_tracer_fallback_counted(self):
+    def test_tracer_counts_no_fallback(self):
         before = fallback_snapshot()
         controller = build_controller(
             "dewrite", NvmMainMemory(), tracer=Tracer(sink=None)
         )
         simulate(controller, single_stream_trace(), batch_size=1024)
-        assert fallback_deltas(before) == {"batch.fallback.tracer": 1.0}
+        assert fallback_deltas(before) == {}
 
-    def test_timeline_fallback_counted(self):
+    def test_timeline_counts_no_fallback(self):
         before = fallback_snapshot()
         controller = build_controller(
             "dewrite", NvmMainMemory(), timeline=TimelineCollector()
         )
         simulate(controller, single_stream_trace(), batch_size=1024)
-        assert fallback_deltas(before) == {"batch.fallback.timeline": 1.0}
+        assert fallback_deltas(before) == {}
 
     def test_multi_stream_stays_fused(self):
         trace = generate_trace(profile_by_name("canneal"), 400, seed=7)
@@ -178,12 +178,12 @@ class TestFallbackCounters:
         assert fallback_deltas(before) == {"batch.fallback.overridden_scalar": 1.0}
 
     def test_scalar_driving_without_fused_kernel_not_counted(self):
-        # The scalar reference itself is not a "fallback" — only a fused
-        # controller sent to it counts.
+        # A per-request wrapper driving its own write()/read() is not a
+        # "fallback" — only a fused controller sent off its steps counts.
         before = fallback_snapshot()
         simulate(
-            build_controller("dewrite", NvmMainMemory()),
+            CheckedController(build_controller("dewrite", NvmMainMemory())),
             single_stream_trace(),
-            batch_size=None,
+            batch_size=1024,
         )
         assert fallback_deltas(before) == {}
